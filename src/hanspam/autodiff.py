@@ -4,8 +4,8 @@ The op set is deliberately small: exactly what a hierarchical GRU/attention
 classifier with convolutional feature stacks needs. All arithmetic is 64-bit;
 gradient checking needs the headroom. A ``Tape`` records operations in forward
 (topological) order; ``backward`` replays the local rules in reverse and
-accumulates into ``Tensor.grad``. Embedding tables get sparse row gradients so
-a lookup never materializes a table-sized dense array.
+accumulates into ``Tensor.grad`` of the leaves only. Embedding tables get
+sparse row gradients so a lookup never materializes a table-sized dense array.
 """
 
 from __future__ import annotations
@@ -63,11 +63,12 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A dense float64 array plus a gradient accumulator.
+    """A dense float64 array plus, on leaves, a gradient accumulator.
 
     ``requires_grad`` marks trainable leaves; outputs of recorded operations
-    inherit it. ``grad`` matches ``data`` in shape and starts at zero;
-    repeated backward passes accumulate into it until ``zero_grad``.
+    inherit it but never hold a ``grad``. On a leaf, ``grad`` matches
+    ``data`` in shape and starts at zero; repeated backward passes accumulate
+    into it until ``zero_grad``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -98,14 +99,6 @@ class Tensor:
             self.grad[...] = 0.0
         elif self.requires_grad:
             self.grad = np.zeros_like(self.data)
-
-    def accumulate_grad(self, g) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        if isinstance(g, SparseRows):
-            np.add.at(self.grad, g.idx, g.val)
-        else:
-            self.grad += g
 
     # operator sugar; constants are wrapped on the fly
     def __add__(self, other):
@@ -142,18 +135,6 @@ class SparseRows:
     idx: Array
     val: Array
     shape: tuple[int, ...]
-
-    def to_dense(self) -> Array:
-        out = np.zeros(self.shape, dtype=np.float64)
-        np.add.at(out, self.idx, self.val)
-        return out
-
-    def merge(self, other: "SparseRows") -> "SparseRows":
-        return SparseRows(
-            np.concatenate([self.idx, other.idx]),
-            np.concatenate([self.val, other.val]),
-            self.shape,
-        )
 
 
 @dataclass
@@ -205,38 +186,49 @@ class Tape:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(tensor) into ``grad`` for every tensor on the tape.
+    """Accumulate d(loss)/d(leaf) into ``grad`` for every leaf the loss reaches.
 
-    ``loss`` must be a scalar. Calling twice without ``zero_grad`` doubles the
-    accumulated gradients.
+    A leaf is a tensor that requires grad and is not the output of any entry
+    on ``tape``; recorded intermediates get no ``grad``. Each tensor's
+    incoming gradient parts are listed and summed once, when its entry is
+    reached (leaves: after the sweep). ``loss`` must be a scalar. Calling
+    twice without ``zero_grad`` doubles the leaf gradients.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    flow: dict[Tensor, Array | SparseRows] = {loss: np.ones_like(loss.data)}
+    parts: dict[Tensor, list[Array | SparseRows]] = {loss: [np.ones_like(loss.data)]}
     for entry in reversed(tape.entries):
-        g = flow.pop(entry.output, None)
-        if g is None:
+        incoming = parts.pop(entry.output, None)
+        if incoming is None:
             continue
-        if isinstance(g, SparseRows):
-            g = g.to_dense()
-        entry.output.accumulate_grad(g)
-        for inp, gi in zip(entry.inputs, entry.rule(g)):
-            if gi is None or not inp.requires_grad:
-                continue  # constants need no flow; recorded outputs all require grad
-            prev = flow.get(inp)
-            if prev is None:
-                flow[inp] = gi
-            elif isinstance(prev, SparseRows) and isinstance(gi, SparseRows):
-                flow[inp] = prev.merge(gi)
-            elif isinstance(gi, SparseRows):
-                flow[inp] = gi.to_dense() + prev
-            elif isinstance(prev, SparseRows):
-                flow[inp] = prev.to_dense() + gi
-            else:
-                flow[inp] = prev + gi
-    for t, g in flow.items():
-        if t.requires_grad:
-            t.accumulate_grad(g)
+        for inp, gi in zip(entry.inputs, entry.rule(_sum_parts(incoming))):
+            if gi is not None and inp.requires_grad:  # constants need no gradient
+                parts.setdefault(inp, []).append(gi)
+    for leaf, incoming in parts.items():
+        if leaf.requires_grad:
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.data)
+            _sum_parts(incoming, into=leaf.grad)
+
+
+def _sum_parts(parts: list, into: Array | None = None) -> Array:
+    """Sum one tensor's gradient parts, adding the total to ``into`` if given.
+
+    All sparse rows go first, in one scatter over their concatenation; the
+    dense parts follow, summed left to right in arrival order.
+    """
+    rows = [p for p in parts if isinstance(p, SparseRows)]
+    dense = [p for p in parts if not isinstance(p, SparseRows)]
+    total = sum(dense[1:], dense[0]) if dense else None
+    if not rows and into is None:
+        return total
+    if into is None:
+        into = np.zeros(rows[0].shape, dtype=np.float64)
+    if rows:
+        np.add.at(into, np.concatenate([r.idx for r in rows]), np.concatenate([r.val for r in rows]))
+    if total is not None:
+        into += total
+    return into
 
 
 def tensor(data, requires_grad: bool = False, name: str = "") -> Tensor:

@@ -33,7 +33,7 @@ from .ingest import (
     render_stats,
     to_document,
 )
-from .model import ConfigError, HanConfig, HanModel
+from .model import CheckpointError, ConfigError, HanConfig, HanModel
 from .training import TrainConfig, TrainingDiverged, train
 from .vocab import PretrainedFormatError, VocabError, build_vocab, load_pretrained
 
@@ -45,6 +45,7 @@ INPUT_ERRORS = (
     LayoutError,
     EmptyCorpusError,
     ConfigError,
+    CheckpointError,
     VocabError,
     PretrainedFormatError,
     FoldError,
@@ -113,11 +114,15 @@ def _snapshot(cfg: dict, out: Path) -> None:
     )
 
 
-def _ingest(cfg: dict, min_count: int = 2, include_subject: bool = False):
+def _load_data(cfg: dict):
     data = cfg.get("data", {})
     if "path" not in data:
         raise ConfigError("no corpus path given (use --data or the config file)")
-    loaded = load_corpus(data["path"], data.get("layout", "merged"))
+    return load_corpus(data["path"], data.get("layout", "merged"))
+
+
+def _ingest(cfg: dict, min_count: int = 2, include_subject: bool = False):
+    loaded = _load_data(cfg)
     model_cfg = cfg.get("model", {})
     s_max = model_cfg.get("s_max", 30)
     t_max = model_cfg.get("t_max", 50)
@@ -184,7 +189,7 @@ def _train_on_documents(cfg: dict, documents, val_documents, seed: int) -> tuple
 
 def cmd_stats(args) -> int:
     cfg = _merge_config(args)
-    loaded = load_corpus(cfg["data"]["path"], cfg["data"].get("layout", "merged"))
+    loaded = _load_data(cfg)
     stats = corpus_stats(loaded.emails, include_subject=args.include_subject)
     print(render_stats(stats))
     if args.out:

@@ -14,6 +14,7 @@ every step stays gradient-checkable.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -30,6 +31,10 @@ VARIANTS = ("none", "cnn", "tcn")
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is not one, is cut short or has bytes past its end."""
 
 
 @dataclass
@@ -590,12 +595,29 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 
 
 def load_checkpoint(path: str | Path) -> HanModel:
+    """Read a checkpoint; ``CheckpointError`` if the bytes do not form one."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+            raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise CheckpointError(f"{path} is truncated: header length has {len(raw)} of 8 bytes")
+        (hlen,) = struct.unpack("<Q", raw)
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise CheckpointError(f"{path} is truncated: header has {len(blob)} of {hlen} bytes")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path} has an unreadable header: {exc}") from None
+        counts = [int(np.prod(spec["shape"])) for spec in header["params"]]
+        declared = 8 * sum(counts)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < declared:
+            raise CheckpointError(f"{path} is truncated: payload has {payload} of {declared} bytes")
+        if payload > declared:
+            raise CheckpointError(f"{path} has {payload - declared} trailing bytes after the payload")
         config = HanConfig.from_dict(header["config"])
         vocab = Vocabulary(
             header["vocab"]["tokens"], header["vocab"]["freqs"], header["vocab"]["min_count"]
@@ -611,10 +633,8 @@ def load_checkpoint(path: str | Path) -> HanModel:
             trainable=emb["trainable"],
         )
         params: dict[str, Tensor] = {}
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
+        for spec, count in zip(header["params"], counts):
+            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(spec["shape"]).copy()
             if spec["name"] == "embed.word":
                 table.word.data = data
                 params[spec["name"]] = table.word
@@ -625,12 +645,3 @@ def load_checkpoint(path: str | Path) -> HanModel:
                 params[spec["name"]] = Tensor(data, requires_grad=True, name=spec["name"])
     model = HanModel(config, vocab, table=table, seed=header["seed"], params=params)
     return model
-
-
-def checkpoint_extra(path: str | Path) -> dict:
-    """Read just the metadata block of a checkpoint."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        return json.loads(fh.read(hlen).decode("utf-8"))["extra"]

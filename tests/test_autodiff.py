@@ -255,3 +255,19 @@ class TestElementwise:
         expected[1] = 2.0
         expected[3] = 1.0
         assert np.array_equal(table.grad, expected)
+
+        # a table reached sparsely by many lookups and densely by one product;
+        # integer values keep every sum exact in any order
+        table = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+        weight = np.array([[1.0, -2.0, 3.0]])
+        lookups = [[0, 2, 2], [3], [2, 0, 1, 2]] * 5
+        with Tape() as tape:
+            loss = ad.tsum(ad.mul(table, table))
+            for idx in lookups:
+                loss = ad.add(loss, ad.tsum(ad.mul(ad.take_rows(table, idx), weight)))
+        tape.backward(loss)
+        expected = 2.0 * table.data
+        for idx in lookups:
+            for r in idx:
+                expected[r] += weight[0]
+        assert np.array_equal(table.grad, expected)

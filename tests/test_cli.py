@@ -60,6 +60,10 @@ class TestStats:
     def test_missing_directory_exit_code(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope")]) == EXIT_INPUT
 
+    def test_no_data_path_exit_code(self, capsys):
+        assert main(["stats"]) == EXIT_INPUT
+        assert "error: no corpus path given" in capsys.readouterr().err
+
     def test_hand_tallied_fixture(self, tmp_path, capsys):
         root = tmp_path / "three"
         (root / "ham").mkdir(parents=True)
@@ -184,6 +188,29 @@ class TestExitCodes:
         rc = main(["eval", "--checkpoint", str(bad), "--data", str(corpus_dir)])
         assert rc == EXIT_INPUT
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda b: b[:12], "header length has 4 of 8 bytes"),
+            (lambda b: b[:-5], "truncated: payload has"),
+            (lambda b: b"HANCKPT\x02" + b[8:], "bad magic"),
+            (lambda b: b + b"junk", "4 trailing bytes"),
+        ],
+        ids=["cut_header", "cut_payload", "bad_magic", "trailing_junk"],
+    )
+    def test_damaged_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys, corrupt, message):
+        docs = make_corpus(n_docs=8, seed=9)
+        model = HanModel(HanConfig.from_dict(TINY_MODEL), build_vocab(docs, min_count=1), seed=0)
+        good = tmp_path / "ok.bin"
+        model.save(good)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(corrupt(good.read_bytes()))
+        rc = main(["eval", "--checkpoint", str(bad), "--data", str(corpus_dir)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_runtime_failure_is_exit_one(self, tmp_path, corpus_dir, monkeypatch, capsys):
         docs = make_corpus(n_docs=8, seed=9)

@@ -19,6 +19,7 @@ from hanspam.model import (
     load_checkpoint,
     tcn_stack,
 )
+from hanspam.training import cross_entropy
 from hanspam.vocab import encode_document
 
 
@@ -330,6 +331,23 @@ class TestForward:
         # output as a cnn model whose stack is an identity on channel space
         model = small_model("none")
         assert model.config.feature_dim == model.config.embed_dim
+
+
+class TestBackward:
+    def test_grad_only_on_leaves(self):
+        model = small_model("cnn")
+        batch = collate([toy_document(model)])
+        for _, p in model.trainable():
+            p.grad = None
+        with ad.Tape() as tape:
+            probs, _, _ = model.forward_batch(batch, training=False)
+            loss = cross_entropy(probs, batch.labels)
+        tape.backward(loss)
+        assert len(tape) > 0
+        assert all(entry.output.grad is None for entry in tape.entries)
+        for name, p in model.trainable():
+            assert p.grad is not None and p.grad.shape == p.shape, name
+            assert np.any(p.grad != 0.0), name
 
 
 class TestConfig:
