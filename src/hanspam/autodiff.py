@@ -23,7 +23,6 @@ __all__ = [
     "ParameterError",
     "EmptyAttentionError",
     "backward",
-    "tensor",
     "add",
     "mul",
     "sub",
@@ -34,6 +33,8 @@ __all__ = [
     "log",
     "clip",
     "concat",
+    "stack",
+    "unstack",
     "reshape",
     "take_rows",
     "take_cols",
@@ -130,7 +131,7 @@ class Tensor:
 
 @dataclass
 class SparseRows:
-    """Row-indexed gradient for a 2-D table: ``dense[idx[i]] += val[i]``."""
+    """Gradient on some slices along axis 0 only: ``dense[idx[i]] += val[i]``."""
 
     idx: Array
     val: Array
@@ -214,7 +215,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
 def _sum_parts(parts: list, into: Array | None = None) -> Array:
     """Sum one tensor's gradient parts, adding the total to ``into`` if given.
 
-    All sparse rows go first, in one scatter over their concatenation; the
+    All sparse rows go first, part by part in arrival order (the same sums as
+    one scatter over their concatenation, without copying them into one); the
     dense parts follow, summed left to right in arrival order.
     """
     rows = [p for p in parts if isinstance(p, SparseRows)]
@@ -224,15 +226,14 @@ def _sum_parts(parts: list, into: Array | None = None) -> Array:
         return total
     if into is None:
         into = np.zeros(rows[0].shape, dtype=np.float64)
-    if rows:
-        np.add.at(into, np.concatenate([r.idx for r in rows]), np.concatenate([r.val for r in rows]))
+    for r in rows:
+        if r.idx.size <= into.shape[0] and np.unique(r.idx).size == r.idx.size:
+            into[r.idx] += r.val  # no repeated slice: the same sums as add.at, several times faster
+        else:
+            np.add.at(into, r.idx, r.val)
     if total is not None:
         into += total
     return into
-
-
-def tensor(data, requires_grad: bool = False, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 def _wrap(x) -> Tensor:
@@ -377,6 +378,36 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(parts, out, rule)
 
 
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join same-shaped tensors along a new axis (numpy ``stack``)."""
+    parts = tuple(_wrap(t) for t in tensors)
+    if not parts:
+        raise ParameterError("stack needs at least one tensor")
+    out = np.stack([p.data for p in parts], axis=axis)
+
+    def rule(g):
+        return tuple(np.moveaxis(g, axis, 0))
+
+    return _record(parts, out, rule)
+
+
+def unstack(x) -> list[Tensor]:
+    """Split a tensor into its slices along axis 0, one recorded entry each.
+
+    Each slice's gradient goes back as a sparse part, so the parts of all
+    slices are summed into one array once instead of once per slice.
+    """
+    x = _wrap(x)
+
+    def take(t):
+        def rule(g):
+            return (SparseRows(np.array([t]), g[None], x.shape),)
+
+        return _record((x,), x.data[t], rule)
+
+    return [take(t) for t in range(x.shape[0])]
+
+
 def reshape(x, shape) -> Tensor:
     x = _wrap(x)
     out = x.data.reshape(shape)
@@ -477,54 +508,69 @@ def masked_softmax(scores, mask=None, empty: str = "error") -> Tensor:
     return _record((x,), y, rule)
 
 
-def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
-    """Causal dilated convolution of a 1-D signal with a 1-D kernel.
+# float64 elements per matmul temporary in dilated_conv1d (16 MB): the
+# allocator recycles blocks this small, while larger ones are mapped and
+# zeroed afresh on every call
+_CONV_TEMP_ELEMS = 2**21
 
-    ``out[s] = sum_i f[i] * x[s - d*i]``. In ``valid`` mode only positions
-    with a full window are produced (length ``n - (k-1)*d``); ``same`` mode
-    left-pads with zeros to keep length ``n``.
+
+def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
+    """Dilated convolution along axis 0: the one convolution the model uses.
+
+    ``x`` is ``[n, rows, cin]`` and ``f`` is ``[k, cin, cout]``; every row
+    is convolved independently, and ``out[s] = sum_i x[s - d*i] @ f[i]`` over
+    the zero-padded input. A 1-D signal with a 1-D kernel is the
+    ``rows = cin = cout = 1`` case and keeps its 1-D shapes. Modes:
+
+    - ``valid``: only positions with a full window, length ``n - (k-1)*d``;
+    - ``same``: causal, ``(k-1)*d`` zeros on the left, length ``n``;
+    - ``centred``: ``(k-1)*d // 2`` zeros on the left and the rest on the
+      right, length ``n``.
     """
     x, f = _wrap(x), _wrap(f)
-    if x.ndim != 1 or f.ndim != 1:
-        raise ShapeError(f"dilated_conv1d expects vectors, got x{x.shape}, f{f.shape}")
+    vector = x.ndim == 1 and f.ndim == 1
+    xd = x.data.reshape(-1, 1, 1) if vector else x.data
+    fd = f.data.reshape(-1, 1, 1) if vector else f.data
+    if xd.ndim != 3 or fd.ndim != 3 or xd.shape[2] != fd.shape[1]:
+        raise ShapeError(
+            f"dilated_conv1d expects x[n, rows, cin] and f[k, cin, cout], got x{x.shape}, f{f.shape}"
+        )
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ParameterError(f"dilation must be a positive integer, got {d}")
-    k, n = f.size, x.size
+    (n, rows, cin), (k, _, cout) = xd.shape, fd.shape
     if k < 1:
         raise ParameterError("kernel must have at least one tap")
-    if mode not in ("valid", "same"):
-        raise ParameterError(f"unknown mode {mode!r}")
     span = (k - 1) * d
+    pad_left = {"valid": 0, "same": span, "centred": span // 2}.get(mode)
+    if pad_left is None:
+        raise ParameterError(f"unknown mode {mode!r}")
     if mode == "valid" and n < span + 1:
         raise ShapeError(f"input length {n} has no full window for k={k}, d={d}")
-
     length = n - span if mode == "valid" else n
-    base = span if mode == "valid" else 0
-    out = np.zeros(length, dtype=np.float64)
-    for i in range(k):
-        lo = base - d * i  # x-index of output position 0 for tap i
-        xs = max(lo, 0)
-        js = xs - lo
-        if js >= length:
-            continue
-        seg = x.data[xs : lo + length]
-        out[js : js + seg.size] += f.data[i] * seg
+    block = max(1, _CONV_TEMP_ELEMS // max(1, rows * cin, rows * cout))  # positions per matmul
+
+    def windows():
+        """Per tap and block of positions: the tap, the x slice it reads, the output slice it feeds."""
+        for i in range(k):
+            lo = span - pad_left - d * i  # x-index of output position 0 for tap i
+            for xs in range(max(lo, 0), min(lo + length, n), block):
+                stop = min(xs + block, lo + length, n)
+                yield i, slice(xs, stop), slice(xs - lo, stop - lo)
+
+    out = np.zeros((length, rows, cout))
+    for i, xsl, osl in windows():
+        out[osl] += (xd[xsl].reshape(-1, cin) @ fd[i]).reshape(-1, rows, cout)
 
     def rule(g):
-        gx = np.zeros(n, dtype=np.float64)
-        gf = np.zeros(k, dtype=np.float64)
-        for i in range(k):
-            lo = base - d * i
-            xs = max(lo, 0)
-            js = xs - lo
-            if js >= length:
-                continue
-            stop = lo + length
-            gx[xs:stop] += f.data[i] * g[js : js + (stop - xs)]
-            gf[i] = np.dot(x.data[xs:stop], g[js : js + (stop - xs)])
-        return gx, gf
+        g = g.reshape(length, rows, cout)
+        gx, gf = np.zeros(xd.shape), np.zeros(fd.shape)
+        for i, xsl, osl in windows():
+            gs = g[osl].reshape(-1, cout)
+            gx[xsl] += (gs @ fd[i].T).reshape(-1, rows, cin)
+            gf[i] += xd[xsl].reshape(-1, cin).T @ gs
+        return gx.reshape(x.shape), gf.reshape(f.shape)
 
-    return _record((x, f), out, rule)
+    return _record((x, f), out.reshape(length) if vector else out, rule)
 
 
 def dropout_mask(shape, p: float, seed: int, step: int, salt: int = 0) -> Array:
@@ -563,31 +609,42 @@ def embedding_lookup(
 ) -> Tensor:
     """Compose token vectors: ``weight * word_row + mean(bucket rows)``.
 
-    ``bucket_ids``/``bucket_offsets`` are a CSR-style ragged list: row ``r``
-    owns ``bucket_ids[bucket_offsets[r]:bucket_offsets[r+1]]``. Rows with no
-    buckets and zero weight (padding) come out exactly zero. Gradients reach
-    both tables as sparse row updates.
+    ``word_ids`` and ``word_weight`` share a shape, ``[n]`` or time-major
+    ``[T, rows]``; the result appends the embedding axis. ``bucket_ids`` and
+    ``bucket_offsets`` are a CSR-style ragged list over the positions in C
+    order: position ``p`` owns ``bucket_ids[bucket_offsets[p]:bucket_offsets[p+1]]``.
+    Bucket rows are gathered one index of axis 0 (one time step) at a time,
+    so the forward never holds a whole batch of them. Positions with no
+    buckets and zero weight (padding) come out exactly zero and get no
+    gradient. Gradients reach both tables as sparse row updates.
     """
-    ids = np.asarray(word_ids, dtype=np.intp)
-    w = np.asarray(word_weight, dtype=np.float64)
+    shape = np.shape(word_ids)
+    ids = np.asarray(word_ids, dtype=np.intp).reshape(-1)
+    w = np.asarray(word_weight, dtype=np.float64).reshape(-1)
     bidx = np.asarray(bucket_ids, dtype=np.intp)
     offs = np.asarray(bucket_offsets, dtype=np.intp)
-    n = ids.size
+    n, dim = ids.size, word_table.shape[1]
     counts = np.diff(offs)
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     rows = np.repeat(np.arange(n), counts)
 
-    out = w[:, None] * word_table.data[ids]
-    if bidx.size:
-        np.add.at(out, rows, inv[rows, None] * bucket_table.data[bidx])
+    out = np.empty((n, dim))
+    steps = shape[0] if len(shape) > 1 else 1
+    per = n // steps if steps else 0
+    for t in range(steps):
+        lo, hi = t * per, (t + 1) * per
+        b0, b1 = offs[lo], offs[hi]
+        np.multiply(w[lo:hi, None], word_table.data[ids[lo:hi]], out=out[lo:hi])
+        if b1 > b0:
+            np.add.at(out[lo:hi], rows[b0:b1] - lo, inv[rows[b0:b1], None] * bucket_table.data[bidx[b0:b1]])
 
     def rule(g):
+        g = g.reshape(n, dim)
         keep = w > 0
         gw = SparseRows(ids[keep], g[keep] * w[keep, None], word_table.shape)
-        if bidx.size:
-            gb = SparseRows(bidx, g[rows] * inv[rows, None], bucket_table.shape)
-        else:
-            gb = SparseRows(np.empty(0, dtype=np.intp), np.empty((0, bucket_table.shape[1])), bucket_table.shape)
+        gb_val = g[rows]
+        gb_val *= inv[rows, None]  # in place: this is the batch's largest gradient array
+        gb = SparseRows(bidx, gb_val, bucket_table.shape)
         return gw, gb
 
-    return _record((word_table, bucket_table), out, rule)
+    return _record((word_table, bucket_table), out.reshape(shape + (dim,)), rule)

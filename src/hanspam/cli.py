@@ -121,17 +121,22 @@ def _load_data(cfg: dict):
     return load_corpus(data["path"], data.get("layout", "merged"))
 
 
-def _ingest(cfg: dict, min_count: int = 2, include_subject: bool = False):
-    loaded = _load_data(cfg)
+def _caps(cfg: dict) -> tuple[int, int]:
+    """(s_max, t_max) from the model config, else ``HanConfig``'s defaults."""
     model_cfg = cfg.get("model", {})
-    s_max = model_cfg.get("s_max", 30)
-    t_max = model_cfg.get("t_max", 50)
-    docs = [
-        to_document(e, s_max=s_max, t_max=t_max, include_subject=include_subject)
-        for e in loaded.emails
-    ]
-    kept = [d for d in docs if not d.empty]
-    dropped = [d.doc_id for d in docs if d.empty]
+    return model_cfg.get("s_max", HanConfig.s_max), model_cfg.get("t_max", HanConfig.t_max)
+
+
+def _documents(emails, caps: tuple[int, int], include_subject: bool):
+    """Kept (non-empty) documents cut at ``caps``, and the ids of the empty ones."""
+    s_max, t_max = caps
+    docs = [to_document(e, s_max=s_max, t_max=t_max, include_subject=include_subject) for e in emails]
+    return [d for d in docs if not d.empty], [d.doc_id for d in docs if d.empty]
+
+
+def _ingest(cfg: dict, caps: tuple[int, int], include_subject: bool = False):
+    loaded = _load_data(cfg)
+    kept, dropped = _documents(loaded.emails, caps, include_subject)
     return loaded, kept, dropped
 
 
@@ -212,7 +217,7 @@ def cmd_train(args) -> int:
     _snapshot(cfg, out)
     seed = int(cfg["seed"])
 
-    _, kept, dropped = _ingest(cfg, include_subject=args.include_subject)
+    _, kept, dropped = _ingest(cfg, _caps(cfg), include_subject=args.include_subject)
     labels = np.array([d.label for d in kept])
     train_idx, val_idx = _stratified_holdout(labels, cfg.get("train", {}).get("val_fraction", 0.1), seed)
     train_docs = [kept[i] for i in train_idx]
@@ -241,7 +246,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _merge_config(args)
     model = HanModel.load(args.checkpoint)
-    _, kept, _ = _ingest(cfg, include_subject=args.include_subject)
+    # cut documents at the caps the checkpoint was trained with
+    caps = (model.config.s_max, model.config.t_max)
+    _, kept, _ = _ingest(cfg, caps, include_subject=args.include_subject)
     encoded = model.encode(kept)
     scores = model.score(encoded)
     labels = np.array([d.label for d in kept])
@@ -266,18 +273,10 @@ def cmd_cross(args) -> int:
     specs = []
     for name in sorted(datasets_cfg):
         entry = datasets_cfg[name]
+        if not isinstance(entry, dict) or "path" not in entry:
+            raise ConfigError(f"dataset {name!r} in the 'datasets' table has no \"path\"")
         loaded = load_corpus(entry["path"], entry.get("layout", "merged"))
-        model_cfg = cfg.get("model", {})
-        docs = [
-            to_document(
-                e,
-                s_max=model_cfg.get("s_max", 30),
-                t_max=model_cfg.get("t_max", 50),
-                include_subject=args.include_subject,
-            )
-            for e in loaded.emails
-        ]
-        docs = [d for d in docs if not d.empty]
+        docs, _ = _documents(loaded.emails, _caps(cfg), args.include_subject)
         specs.append(
             DatasetSpec(
                 name=name,

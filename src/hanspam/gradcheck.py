@@ -152,13 +152,31 @@ def check_masked_softmax() -> float:
 def check_dilated_conv1d() -> float:
     rng = _rng(5)
     worst = 0.0
-    for n, k, d, mode in ((9, 3, 2, "valid"), (8, 2, 1, "valid"), (7, 3, 2, "same"), (5, 1, 3, "same")):
-        x, f = _param(rng, n), _param(rng, k)
+    vectors = [((n,), (k,), d, mode) for n, k, d, mode in (
+        (9, 3, 2, "valid"), (8, 2, 1, "valid"), (7, 3, 2, "same"), (5, 1, 3, "same"), (6, 4, 1, "centred"),
+    )]
+    # time-major [n, rows, cin] with [k, cin, cout]; the last two are shorter than the kernel span
+    batched = [((n, 2, 3), (k, 3, 2), d, mode) for n, k, d, mode in (
+        (7, 3, 2, "valid"), (6, 3, 2, "same"), (6, 4, 1, "centred"), (5, 3, 2, "centred"),
+        (3, 3, 2, "same"), (2, 4, 1, "centred"),
+    )]
+    for sx, sf, d, mode in vectors + batched:
+        x, f = _param(rng, *sx), _param(rng, *sf)
         worst = max(
             worst,
             check_scalar_fn(lambda: _weighted(ad.dilated_conv1d(x, f, d, mode), _rng(51)), [x, f]),
         )
     return worst
+
+
+def check_stack() -> float:
+    rng = _rng(12)
+    parts = [_param(rng, 3, 2) for _ in range(3)]
+    worst = 0.0
+    for axis in (0, 1, 2):
+        worst = max(worst, check_scalar_fn(lambda: _weighted(ad.stack(parts, axis), _rng(121)), parts))
+    x = _param(rng, 4, 2, 3)
+    return max(worst, check_scalar_fn(lambda: _weighted(ad.concat(ad.unstack(x), axis=1), _rng(122)), [x]))
 
 
 def check_embedding_lookup() -> float:
@@ -172,7 +190,11 @@ def check_embedding_lookup() -> float:
     build = lambda: _weighted(
         ad.embedding_lookup(words, buckets, ids, w, bidx, offs), _rng(61)
     )
-    return check_scalar_fn(build, [words, buckets])
+    # the same positions time-major, [2 steps, 2 rows]
+    build_tm = lambda: _weighted(
+        ad.embedding_lookup(words, buckets, ids.reshape(2, 2), w.reshape(2, 2), bidx, offs), _rng(62)
+    )
+    return max(check_scalar_fn(b, [words, buckets]) for b in (build, build_tm))
 
 
 def check_gru_cell() -> float:
@@ -234,24 +256,21 @@ def check_conv_stack() -> float:
     rng = _rng(10)
     windows = (1, 3)
     maps = 2
-    seq = [_param(rng, 2, 3) for _ in range(5)]
+    x = _param(rng, 5, 2, 3)
     params = {}
     for w in windows:
         for i in range(w):
             params[f"cnn.w{w}.tap{i}"] = _param(rng, 3, maps)
         params[f"cnn.w{w}.bias"] = _param(rng, maps)
 
-    def build():
-        feats = conv_feature_stack(seq, params, windows)
-        return _weighted(ad.concat(feats, axis=1), _rng(101))
-
-    return check_scalar_fn(build, seq + list(params.values()))
+    build = lambda: _weighted(conv_feature_stack(x, params, windows), _rng(101))
+    return check_scalar_fn(build, [x] + list(params.values()))
 
 
 def check_tcn_stack() -> float:
     rng = _rng(11)
     levels, kernel, channels, in_dim = 2, 2, 3, 3
-    seq = [_param(rng, 2, in_dim) for _ in range(6)]
+    x = _param(rng, 6, 2, in_dim)
     params = {}
     for lvl in range(levels):
         cin = in_dim if lvl == 0 else channels
@@ -261,11 +280,8 @@ def check_tcn_stack() -> float:
         if cin != channels:
             params[f"tcn.block{lvl}.proj"] = _param(rng, cin, channels)
 
-    def build():
-        feats = tcn_stack(seq, params, levels, kernel)
-        return _weighted(ad.concat(feats, axis=1), _rng(111))
-
-    return check_scalar_fn(build, seq + list(params.values()))
+    build = lambda: _weighted(tcn_stack(x, params, levels, kernel), _rng(111))
+    return check_scalar_fn(build, [x] + list(params.values()))
 
 
 # --- full model --------------------------------------------------------------
@@ -364,6 +380,7 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
     ("dropout", check_dropout),
     ("masked_softmax", check_masked_softmax),
     ("dilated_conv1d", check_dilated_conv1d),
+    ("stack", check_stack),
     ("embedding_lookup", check_embedding_lookup),
     ("gru_cell", check_gru_cell),
     ("bigru_encode", check_bigru),

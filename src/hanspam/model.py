@@ -6,13 +6,17 @@ bidirectional GRU produces token annotations that word attention pools into a
 sentence vector. A second bidirectional GRU plus attention pools sentence
 vectors into a document vector feeding a two-class softmax head.
 
-Batched forwards are time-major: a sequence is a list of ``[rows x dim]``
-tensors, so the whole model composes from matmul/elementwise primitives and
-every step stays gradient-checkable.
+Batched forwards are time-major. The word stage, from the embedding lookup
+through the convolutional stack, carries one ``[steps, rows, dim]`` tensor,
+and every convolution is ``autodiff.dilated_conv1d``. The GRUs and attention
+then take a sequence as a list of ``[rows, dim]`` tensors, one per step. The
+whole model composes from differentiable primitives, so every part stays
+gradient-checkable.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -205,71 +209,50 @@ def attention_pool(
 
 
 def conv_feature_stack(
-    seq: Sequence[Tensor],
+    x: Tensor,
     params: dict[str, Tensor],
     windows: tuple[int, ...],
     drop: Dropout = NO_DROPOUT,
-) -> list[Tensor]:
-    """Multi-window same-padded convolutions over the token axis, ReLU, concat."""
-    steps = len(seq)
-    per_window: list[list[Tensor]] = []
+) -> Tensor:
+    """Multi-window same-padded convolutions over the token axis, ReLU, concat.
+
+    ``x`` is ``[steps, rows, dim]``; window ``w`` sees ``(w-1)//2`` earlier
+    positions, and tap ``i`` reads position ``t - (w-1)//2 + i``. Outside the
+    sequence it reads zeros.
+    """
+    maps = []
     for w in windows:
-        left = (w - 1) // 2
-        taps = [params[f"cnn.w{w}.tap{i}"] for i in range(w)]
-        bias = params[f"cnn.w{w}.bias"]
-        outs = []
-        for t in range(steps):
-            acc = None
-            for i in range(w):
-                src = t - left + i
-                if src < 0 or src >= steps:
-                    continue  # zero padding: out-of-range taps contribute nothing
-                term = seq[src] @ taps[i]
-                acc = term if acc is None else ad.add(acc, term)
-            acc = bias if acc is None else ad.add(acc, bias)
-            outs.append(ad.relu(acc))
-        per_window.append(outs)
-    features = []
-    for t in range(steps):
-        cat = (
-            ad.concat([outs[t] for outs in per_window], axis=1)
-            if len(per_window) > 1
-            else per_window[0][t]
-        )
-        features.append(drop.apply(cat))
-    return features
+        # a convolution applies its last tap to the earliest position
+        kernel = ad.stack([params[f"cnn.w{w}.tap{i}"] for i in reversed(range(w))])
+        conv = ad.dilated_conv1d(x, kernel, mode="centred")
+        maps.append(ad.relu(ad.add(conv, params[f"cnn.w{w}.bias"])))
+        del conv  # hold no window's raw output past its use
+    # without a tape, and with no reference left in the caller, this frees the
+    # input before the concat doubles the output
+    del x
+    return drop.apply(ad.concat(maps, axis=2) if len(maps) > 1 else maps[0])
 
 
 def tcn_stack(
-    seq: Sequence[Tensor],
+    x: Tensor,
     params: dict[str, Tensor],
     levels: int,
     kernel: int,
     drop: Dropout = NO_DROPOUT,
-) -> list[Tensor]:
-    """Stacked causal dilated conv blocks (dilation doubling) with residuals."""
-    steps = len(seq)
-    current = list(seq)
+) -> Tensor:
+    """Stacked causal dilated conv blocks (dilation doubling) with residuals.
+
+    ``x`` is ``[steps, rows, dim]``; a block's residual goes through its
+    one-tap ``proj`` when the block changes the channel count.
+    """
     for lvl in range(levels):
-        d = 2**lvl
-        taps = [params[f"tcn.block{lvl}.tap{i}"] for i in range(kernel)]
-        bias = params[f"tcn.block{lvl}.bias"]
+        taps = ad.stack([params[f"tcn.block{lvl}.tap{i}"] for i in range(kernel)])
+        conv = ad.dilated_conv1d(x, taps, d=2**lvl, mode="same")
+        y = drop.apply(ad.relu(ad.add(conv, params[f"tcn.block{lvl}.bias"])))
+        del conv
         proj = params.get(f"tcn.block{lvl}.proj")
-        nxt = []
-        for t in range(steps):
-            acc = None
-            for i in range(kernel):
-                src = t - d * i
-                if src < 0:
-                    continue  # causal left padding
-                term = current[src] @ taps[i]
-                acc = term if acc is None else ad.add(acc, term)
-            acc = bias if acc is None else ad.add(acc, bias)
-            y = drop.apply(ad.relu(acc))
-            res = current[t] if proj is None else current[t] @ proj
-            nxt.append(ad.add(y, res))
-        current = nxt
-    return current
+        x = ad.add(y, x if proj is None else ad.dilated_conv1d(x, ad.stack([proj])))
+    return x
 
 
 @dataclass
@@ -281,8 +264,8 @@ class Batch:
     tok_mask: np.ndarray  # [B*S, T] bool
     word_ids: np.ndarray  # [B*S, T]
     word_w: np.ndarray  # [B*S, T]
-    bucket_flat: list[np.ndarray]  # per step t: concatenated bucket ids
-    bucket_offs: list[np.ndarray]  # per step t: CSR offsets, length B*S+1
+    bucket_flat: np.ndarray  # concatenated bucket ids, time-major: position t*B*S + row
+    bucket_offs: np.ndarray  # CSR offsets into bucket_flat, length T*B*S+1
     doc_ids: list[str] = field(default_factory=list)
 
     @property
@@ -313,7 +296,7 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
     tok_mask = np.zeros((b * s, t), dtype=bool)
     word_ids = np.zeros((b * s, t), dtype=np.intp)
     word_w = np.zeros((b * s, t))
-    buckets: list[list[tuple[int, ...]]] = [[() for _ in range(b * s)] for _ in range(t)]
+    buckets: list[tuple[int, ...]] = [()] * (t * b * s)  # time-major positions
 
     for di, doc in enumerate(docs):
         for si in range(doc.n_sentences):
@@ -324,18 +307,11 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
             tok_mask[row, :n_tok] = True
             word_ids[row, :n_tok] = ids
             word_w[row, :n_tok] = doc.word_weight[si]
-            for ti in range(n_tok):
-                buckets[ti][row] = doc.bucket_ids[si][ti]
+            buckets[row : n_tok * b * s : b * s] = doc.bucket_ids[si]
 
-    bucket_flat, bucket_offs = [], []
-    for ti in range(t):
-        counts = np.array([len(buckets[ti][r]) for r in range(b * s)], dtype=np.intp)
-        offs = np.concatenate([[0], np.cumsum(counts)])
-        flat = np.fromiter(
-            (bid for r in range(b * s) for bid in buckets[ti][r]), dtype=np.intp, count=offs[-1]
-        )
-        bucket_flat.append(flat)
-        bucket_offs.append(offs)
+    counts = np.fromiter(map(len, buckets), dtype=np.intp, count=len(buckets))
+    offs = np.concatenate([[0], np.cumsum(counts)])
+    flat = np.fromiter(itertools.chain.from_iterable(buckets), dtype=np.intp, count=offs[-1])
 
     return Batch(
         labels=labels,
@@ -343,8 +319,8 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
         tok_mask=tok_mask,
         word_ids=word_ids,
         word_w=word_w,
-        bucket_flat=bucket_flat,
-        bucket_offs=bucket_offs,
+        bucket_flat=flat,
+        bucket_offs=offs,
         doc_ids=[d.doc_id for d in docs],
     )
 
@@ -452,6 +428,18 @@ class HanModel:
 
     # --- forward -------------------------------------------------------------
 
+    def _embed(self, batch: Batch) -> Tensor:
+        """Token vectors ``[T, rows, embed]``; padded positions are exact zeros,
+        so convolution windows read zero padding there."""
+        return ad.embedding_lookup(
+            self.params["embed.word"],
+            self.params["embed.bucket"],
+            batch.word_ids.T,
+            batch.word_w.T,
+            batch.bucket_flat,
+            batch.bucket_offs,
+        )
+
     def forward_batch(
         self, batch: Batch, training: bool = False, step: int = 0
     ) -> tuple[Tensor, Tensor, Tensor]:
@@ -462,31 +450,17 @@ class HanModel:
             if training and cfg.dropout > 0
             else NO_DROPOUT
         )
-        t_steps = batch.n_tokens
-        tok_mask_f = batch.tok_mask.astype(np.float64)
-
-        embedded = []
-        for t in range(t_steps):
-            x = ad.embedding_lookup(
-                self.params["embed.word"],
-                self.params["embed.bucket"],
-                batch.word_ids[:, t],
-                batch.word_w[:, t],
-                batch.bucket_flat[t],
-                batch.bucket_offs[t],
-            )
-            # zero padded positions so conv windows cannot leak padding rows
-            embedded.append(ad.mul(x, tok_mask_f[:, t : t + 1]))
-
+        # the stacks get the embedding as their only reference, so it can go
+        # as soon as they are done with it
         if cfg.variant == "cnn":
-            word_seq = conv_feature_stack(embedded, self.params, cfg.cnn_windows, drop)
+            x = conv_feature_stack(self._embed(batch), self.params, cfg.cnn_windows, drop)
         elif cfg.variant == "tcn":
-            word_seq = tcn_stack(embedded, self.params, cfg.tcn_levels, cfg.tcn_kernel, drop)
+            x = tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, cfg.tcn_kernel, drop)
         else:
-            word_seq = embedded
+            x = self._embed(batch)
 
         word_ann = bigru_encode(
-            word_seq,
+            ad.unstack(x),
             batch.tok_mask,
             _gru_params(self.params, "word", "fw"),
             _gru_params(self.params, "word", "bw"),

@@ -148,6 +148,64 @@ class TestDilatedConv:
             assert all(s >= t for s in changed)
             assert max(s - t for s in changed) <= 2**levels - 1
 
+    @pytest.mark.parametrize("one_position_blocks", [False, True])
+    @pytest.mark.parametrize("mode", ["valid", "same", "centred"])
+    def test_time_major_channels_match_brute_force(self, mode, one_position_blocks, monkeypatch):
+        # out[s] = sum_i x[s - d*i] @ f[i] over x padded with `left` zeros before
+        # and enough after; rows > 1, cin != cout, spans longer than the input
+        if one_position_blocks:
+            monkeypatch.setattr(ad, "_CONV_TEMP_ELEMS", 1)
+        rng = np.random.default_rng(21)
+        for n, k, d in ((7, 3, 2), (6, 2, 1), (3, 4, 1), (2, 3, 2), (5, 1, 3)):
+            span = (k - 1) * d
+            if mode == "valid" and n <= span:
+                continue
+            x, f = rng.uniform(-1, 1, (n, 2, 3)), rng.uniform(-1, 1, (k, 3, 4))
+            left = {"valid": 0, "same": span, "centred": span // 2}[mode]
+            length = n - span if mode == "valid" else n
+            padded = np.concatenate([np.zeros((left, 2, 3)), x, np.zeros((span, 2, 3))])
+            oracle = np.array([
+                sum(padded[s + span - d * i] @ f[i] for i in range(k)) for s in range(length)
+            ])
+            out = ad.dilated_conv1d(Tensor(x), Tensor(f), d=d, mode=mode).data
+            assert out.shape == (length, 2, 4)
+            assert np.max(np.abs(out - oracle)) < 1e-12
+            xt, ft = Tensor(x, requires_grad=True), Tensor(f, requires_grad=True)
+            weight = rng.uniform(-1, 1, out.shape)
+            build = lambda: ad.tsum(ad.mul(ad.dilated_conv1d(xt, ft, d=d, mode=mode), weight))
+            assert check_scalar_fn(build, [xt, ft]) < 1e-6
+
+    def test_centred_mode_pads_both_sides(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        # k=3: out[s] = 1*x[s+1] + 10*x[s] + 100*x[s-1]
+        out = ad.dilated_conv1d(Tensor(x), Tensor([1.0, 10.0, 100.0]), mode="centred").data
+        assert np.array_equal(out, [12.0, 123.0, 234.0, 340.0])
+
+    def test_channel_mismatch_and_unknown_mode(self):
+        with pytest.raises(ShapeError):
+            ad.dilated_conv1d(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((2, 2, 5))))
+        with pytest.raises(ParameterError):
+            ad.dilated_conv1d(Tensor([1.0, 2.0]), Tensor([1.0]), mode="full")
+
+
+class TestStack:
+    def test_stack_and_unstack_round_trip(self):
+        parts = [Tensor(np.full((2, 3), float(i)), requires_grad=True) for i in range(4)]
+        weight = np.arange(24.0).reshape(4, 2, 3)
+        with Tape() as tape:
+            stacked = ad.stack(parts)
+            back = ad.unstack(stacked)
+            loss = ad.tsum(ad.mul(ad.stack(back[::-1]), weight[::-1]))
+        tape.backward(loss)
+        assert stacked.shape == (4, 2, 3)
+        assert all(np.array_equal(b.data, p.data) for b, p in zip(back, parts))
+        for i, p in enumerate(parts):
+            assert np.array_equal(p.grad, weight[i])
+
+    def test_stack_on_a_later_axis(self):
+        out = ad.stack([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])], axis=1)
+        assert np.array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
+
 
 class TestBackward:
     def test_sum_of_squares(self):

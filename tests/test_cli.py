@@ -143,6 +143,24 @@ class TestTrainEval:
         cell = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert cell["auc"] == pytest.approx(0.5)
 
+    def test_eval_cuts_documents_at_the_checkpoint_caps(self, tmp_path, corpus_dir, monkeypatch):
+        docs = make_corpus(n_docs=12, seed=2)
+        config = HanConfig.from_dict(dict(TINY_MODEL, s_max=2, t_max=3))
+        ckpt = tmp_path / "caps.bin"
+        HanModel(config, build_vocab(docs, min_count=1), seed=0).save(ckpt)
+        seen = []
+        score = HanModel.score
+
+        def recording_score(self, encoded, batch_size=64):
+            seen.extend(encoded)
+            return score(self, encoded, batch_size)
+
+        monkeypatch.setattr(HanModel, "score", recording_score)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir)])
+        assert rc == EXIT_OK
+        assert seen and max(d.n_sentences for d in seen) == 2
+        assert max(len(ids) for d in seen for ids in d.word_ids) == 3
+
     def test_commands_write_only_under_out(self, tmp_path, corpus_dir, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()
@@ -179,6 +197,13 @@ class TestCross:
     def test_missing_datasets_table(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["cross", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_INPUT
+
+    def test_dataset_without_path_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", datasets={"enron": {"layout": "enron"}})
+        assert main(["cross", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'enron'") and '"path"' in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestExitCodes:

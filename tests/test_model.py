@@ -182,7 +182,7 @@ class TestConvStacks:
             "cnn.w1.tap0": Tensor(np.array([[1.0], [0.0], [0.0]])),
             "cnn.w1.bias": Tensor(np.zeros(1)),
         }
-        feats = conv_feature_stack(seq, params, (1,))
+        feats = ad.unstack(conv_feature_stack(ad.stack(seq), params, (1,)))
         for t in range(4):
             assert np.allclose(feats[t].data[:, 0], seq[t].data[:, 0])
 
@@ -193,7 +193,7 @@ class TestConvStacks:
             "cnn.w2.tap1": Tensor(np.zeros((3, 2))),
             "cnn.w2.bias": Tensor(np.zeros(2)),
         }
-        feats = conv_feature_stack(seq, params, (2,))
+        feats = ad.unstack(conv_feature_stack(ad.stack(seq), params, (2,)))
         assert all(np.array_equal(f.data, np.zeros((2, 2))) for f in feats)
 
     def test_channel_concat_across_windows(self):
@@ -204,7 +204,7 @@ class TestConvStacks:
             for i in range(w):
                 params[f"cnn.w{w}.tap{i}"] = Tensor(rng.uniform(-1, 1, (2, 3)))
             params[f"cnn.w{w}.bias"] = Tensor(np.zeros(3))
-        feats = conv_feature_stack(seq, params, (1, 2))
+        feats = ad.unstack(conv_feature_stack(ad.stack(seq), params, (1, 2)))
         assert feats[0].shape == (1, 6)
 
     def test_tcn_identity_block_is_relu_plus_input(self):
@@ -214,7 +214,7 @@ class TestConvStacks:
             "tcn.block0.tap0": Tensor(np.eye(3)),
             "tcn.block0.bias": Tensor(np.zeros(3)),
         }
-        out = tcn_stack(seq, params, levels=1, kernel=1)
+        out = ad.unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=1))
         for t in range(4):
             expected = np.maximum(seq[t].data, 0.0) + seq[t].data
             assert np.allclose(out[t].data, expected)
@@ -227,7 +227,7 @@ class TestConvStacks:
             "tcn.block0.tap1": Tensor(np.zeros((3, 3))),
             "tcn.block0.bias": Tensor(np.zeros(3)),
         }
-        out = tcn_stack(seq, params, levels=1, kernel=2)
+        out = ad.unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=2))
         for t in range(4):
             assert np.allclose(out[t].data, seq[t].data)
 
@@ -241,14 +241,122 @@ class TestConvStacks:
                 params[f"tcn.block{lvl}.tap{i}"] = Tensor(rng.uniform(-1, 1, (cin, channels)))
             params[f"tcn.block{lvl}.bias"] = Tensor(rng.uniform(-1, 1, channels))
         base_steps = [rng.uniform(-1, 1, (1, 3)) for _ in range(7)]
-        base_out = [o.data.copy() for o in tcn_stack([Tensor(s) for s in base_steps], params, levels, kernel)]
+        base_out = [
+            o.data.copy() for o in ad.unstack(tcn_stack(Tensor(np.stack(base_steps)), params, levels, kernel))
+        ]
         for t in range(7):
             bumped = [s.copy() for s in base_steps]
             bumped[t] = bumped[t] + 0.37
-            out = tcn_stack([Tensor(s) for s in bumped], params, levels, kernel)
+            out = ad.unstack(tcn_stack(Tensor(np.stack(bumped)), params, levels, kernel))
             for s in range(7):
                 if s < t:
                     assert np.array_equal(out[s].data, base_out[s])
+
+
+def per_step_cnn(seq, params, windows):
+    """Reference CNN stack: one matmul per tap, step and window."""
+    per_window = []
+    for w in windows:
+        left = (w - 1) // 2
+        outs = []
+        for t in range(len(seq)):
+            acc = params[f"cnn.w{w}.bias"]
+            for i in range(w):
+                if 0 <= t - left + i < len(seq):
+                    acc = ad.add(acc, seq[t - left + i] @ params[f"cnn.w{w}.tap{i}"])
+            outs.append(ad.relu(acc))
+        per_window.append(outs)
+    return [ad.concat([outs[t] for outs in per_window], axis=1) for t in range(len(seq))]
+
+
+def per_step_tcn(seq, params, levels, kernel):
+    """Reference TCN stack: causal taps per step, dilation 2**level, residual."""
+    for lvl in range(levels):
+        proj = params.get(f"tcn.block{lvl}.proj")
+        nxt = []
+        for t in range(len(seq)):
+            acc = params[f"tcn.block{lvl}.bias"]
+            for i in range(kernel):
+                if t - 2**lvl * i >= 0:
+                    acc = ad.add(acc, seq[t - 2**lvl * i] @ params[f"tcn.block{lvl}.tap{i}"])
+            nxt.append(ad.add(ad.relu(acc), seq[t] if proj is None else seq[t] @ proj))
+        seq = nxt
+    return seq
+
+
+class TestConvStacksMatchPerStepReference:
+    """The one-op stacks against the per-step tap loops, values and gradients."""
+
+    @staticmethod
+    def _compare(stacked, reference, x, params):
+        grads = []
+        for build in (stacked, reference):
+            for t in [x] + list(params.values()):
+                t.zero_grad()
+            with ad.Tape() as tape:
+                out = build()
+                loss = ad.tsum(ad.mul(out, np.linspace(-1.0, 1.0, out.size).reshape(out.shape)))
+            tape.backward(loss)
+            grads.append((out.data.copy(), [t.grad.copy() for t in [x] + list(params.values())]))
+        (out_a, grad_a), (out_b, grad_b) = grads
+        assert out_a.shape == out_b.shape
+        assert np.max(np.abs(out_a - out_b)) <= 1e-12 * max(np.max(np.abs(out_b)), 1.0)
+        scale = max(max(np.max(np.abs(g)) for g in grad_b), 1.0)
+        for ga, gb in zip(grad_a, grad_b):
+            assert np.max(np.abs(ga - gb)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cnn(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        steps, rows, dim, maps = int(rng.integers(1, 6)), int(rng.integers(1, 4)), 3, 2
+        windows = tuple(sorted(rng.choice(np.arange(1, 7), size=2, replace=False).tolist()))
+        x = Tensor(rng.uniform(-1, 1, (steps, rows, dim)), requires_grad=True)
+        params = {}
+        for w in windows:
+            for i in range(w):
+                params[f"cnn.w{w}.tap{i}"] = Tensor(rng.uniform(-1, 1, (dim, maps)), requires_grad=True)
+            params[f"cnn.w{w}.bias"] = Tensor(rng.uniform(-0.5, 0.5, maps), requires_grad=True)
+        self._compare(
+            lambda: conv_feature_stack(x, params, windows),
+            lambda: ad.stack(per_step_cnn(ad.unstack(x), params, windows)),
+            x,
+            params,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tcn(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        steps, rows, dim = int(rng.integers(1, 9)), int(rng.integers(1, 4)), 3
+        levels, kernel, channels = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        x = Tensor(rng.uniform(-1, 1, (steps, rows, dim)), requires_grad=True)
+        leaf = lambda *shape: Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+        params = {}
+        for lvl in range(levels):
+            cin = dim if lvl == 0 else channels
+            for i in range(kernel):
+                params[f"tcn.block{lvl}.tap{i}"] = leaf(cin, channels)
+            params[f"tcn.block{lvl}.bias"] = leaf(channels)
+            if cin != channels:
+                params[f"tcn.block{lvl}.proj"] = leaf(cin, channels)
+        self._compare(
+            lambda: tcn_stack(x, params, levels, kernel),
+            lambda: ad.stack(per_step_tcn(ad.unstack(x), params, levels, kernel)),
+            x,
+            params,
+        )
+
+    def test_window_longer_than_sentence(self):
+        # every case above draws windows up to 6 over 1-5 steps; pin one explicitly
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 3)), requires_grad=True)
+        params = {f"cnn.w5.tap{i}": Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for i in range(5)}
+        params["cnn.w5.bias"] = Tensor(np.zeros(2), requires_grad=True)
+        self._compare(
+            lambda: conv_feature_stack(x, params, (5,)),
+            lambda: ad.stack(per_step_cnn(ad.unstack(x), params, (5,))),
+            x,
+            params,
+        )
 
 
 def small_model(variant="none", seed=0):
@@ -348,6 +456,57 @@ class TestBackward:
         for name, p in model.trainable():
             assert p.grad is not None and p.grad.shape == p.shape, name
             assert np.any(p.grad != 0.0), name
+
+
+class TestTimeMajorEmbedding:
+    def _batch(self, model):
+        docs = [
+            EmailDocument(label=1, sentences=[["alpha", "unseen", "beta"], ["gamma"]]),
+            EmailDocument(label=0, sentences=[["delta", "alpha"]]),
+        ]
+        encoded = [encode_document(d, model.vocab, model.table) for d in docs]
+        return collate(encoded), encoded
+
+    def test_one_bucket_csr_over_time_major_positions(self):
+        batch, encoded = self._batch(small_model())
+        rows = batch.word_ids.shape[0]
+        assert batch.bucket_offs.shape == (batch.n_tokens * rows + 1,)
+        offs = batch.bucket_offs
+        owned = lambda t, row: tuple(batch.bucket_flat[offs[t * rows + row] : offs[t * rows + row + 1]])
+        for di, doc in enumerate(encoded):
+            for si, buckets in enumerate(doc.bucket_ids):
+                for t, expected in enumerate(buckets):
+                    assert owned(t, di * batch.n_sentences + si) == tuple(expected)
+        for row, t in zip(*np.nonzero(~batch.tok_mask)):
+            assert owned(t, row) == ()
+
+    def test_matches_per_step_lookups_and_skips_padding(self):
+        model = small_model()
+        batch, _ = self._batch(model)
+        word, bucket = model.params["embed.word"], model.params["embed.bucket"]
+        rows = batch.word_ids.shape[0]
+        for table in (word, bucket):
+            table.zero_grad()
+        with ad.Tape() as tape:
+            x = ad.embedding_lookup(
+                word, bucket, batch.word_ids.T, batch.word_w.T, batch.bucket_flat, batch.bucket_offs
+            )
+            loss = ad.tsum(x)
+        tape.backward(loss)
+        assert x.shape == (batch.n_tokens, rows, model.config.embed_dim)
+        for t in range(batch.n_tokens):
+            offs = batch.bucket_offs[t * rows : (t + 1) * rows + 1]
+            step = ad.embedding_lookup(
+                word, bucket, batch.word_ids[:, t], batch.word_w[:, t],
+                batch.bucket_flat[offs[0] : offs[-1]], offs - offs[0],
+            )
+            assert np.array_equal(x.data[t], step.data)
+        assert np.all(x.data[~batch.tok_mask.T] == 0.0)
+        # padding rows use word id 0 with weight 0: no gradient may reach them
+        # through padding, so the row's gradient counts only real occurrences
+        real = batch.tok_mask & (batch.word_w > 0)
+        uses = np.bincount(batch.word_ids[real], minlength=word.shape[0])
+        assert np.array_equal(word.grad, np.repeat(uses[:, None], word.shape[1], axis=1).astype(float))
 
 
 class TestConfig:
