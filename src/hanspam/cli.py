@@ -23,7 +23,6 @@ from .evaluation import (
     PartialMatrixError,
     cross_dataset_eval,
     evaluate_scores,
-    worker_count,
 )
 from .ingest import (
     EmptyCorpusError,
@@ -79,7 +78,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     }
     file_cfg = _load_config_file(getattr(args, "config", None))
     for key, value in file_cfg.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(cfg.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be a JSON object, got {json.dumps(value)}")
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -305,7 +306,6 @@ def cmd_cross(args) -> int:
     (out / "matrix.jsonl").write_text(matrix.to_jsonl(), encoding="utf-8")
     (out / "matrix.tsv").write_text(matrix.to_tsv(), encoding="utf-8")
     print(matrix.render_auc_grid())
-    print(f"threads: {worker_count()}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ cells.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -314,14 +313,6 @@ def _diagonal_cell(ds: DatasetSpec, train_fn: TrainFn, score_fn: ScoreFn,
     return _mean_cell(fold_cells, ds.name, ds.name)
 
 
-def worker_count() -> int:
-    raw = os.environ.get("HANSPAM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cross_dataset_eval(
     datasets: Mapping[str, DatasetSpec] | Sequence[DatasetSpec],
     train_fn: TrainFn,
@@ -349,23 +340,12 @@ def cross_dataset_eval(
         )
 
     cells: dict[tuple[str, str], EvalCell] = {}
-    jobs = []
     for src in specs:
         cells[(src.name, src.name)] = _diagonal_cell(src, train_fn, score_fn, k, seed)
         full_model = train_fn(list(src.docs), [])
         for dst in specs:
             if dst.name != src.name:
-                jobs.append((src.name, full_model, dst))
-
-    threads = worker_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(lambda j: score_fn(j[1], list(j[2].docs)), jobs))
-    else:
-        scored = [score_fn(model, list(dst.docs)) for _, model, dst in jobs]
-    for (src_name, _, dst), scores in zip(jobs, scored):
-        cells[(src_name, dst.name)] = evaluate_scores(scores, dst.labels, src_name, dst.name)
+                scores = score_fn(full_model, list(dst.docs))
+                cells[(src.name, dst.name)] = evaluate_scores(scores, dst.labels, src.name, dst.name)
 
     return aggregate_matrix(ids, cells)

@@ -21,7 +21,6 @@ from .model import (
     bigru_encode,
     collate,
     conv_feature_stack,
-    gru_cell,
     tcn_stack,
 )
 from .training import cross_entropy
@@ -116,7 +115,6 @@ def check_elementwise() -> float:
         lambda: _weighted(ad.tsum(a, axis=1), _rng(29)),
         lambda: _weighted(ad.reshape(a, (4, 3)), _rng(30)),
         lambda: _weighted(ad.take_rows(a, [2, 0, 1, 1]), _rng(31)),
-        lambda: _weighted(ad.take_cols(a, [3, 0, 0]), _rng(32)),
         lambda: _weighted(ad.log(ad.add(ad.sigmoid(a), 0.5)), _rng(33)),
     ):
         worst = max(worst, check_scalar_fn(build, [a, b, row]))
@@ -179,6 +177,15 @@ def check_stack() -> float:
     return max(worst, check_scalar_fn(lambda: _weighted(ad.concat(ad.unstack(x), axis=1), _rng(122)), [x]))
 
 
+def check_transpose() -> float:
+    rng = _rng(13)
+    a, x = _param(rng, 3, 4), _param(rng, 2, 3, 4)
+    worst = check_scalar_fn(lambda: _weighted(ad.transpose(a, (1, 0)), _rng(131)), [a])
+    for axes in ((1, 0, 2), (2, 0, 1), (0, 2, 1)):
+        worst = max(worst, check_scalar_fn(lambda: _weighted(ad.transpose(x, axes), _rng(132)), [x]))
+    return worst
+
+
 def check_embedding_lookup() -> float:
     rng = _rng(6)
     words = _param(rng, 7, 4)
@@ -197,21 +204,6 @@ def check_embedding_lookup() -> float:
     return max(check_scalar_fn(b, [words, buckets]) for b in (build, build_tm))
 
 
-def check_gru_cell() -> float:
-    rng = _rng(7)
-    from .model import GruParams
-
-    x = _param(rng, 3, 4)
-    h = _param(rng, 3, 5)
-    gates = GruParams(
-        w_z=_param(rng, 4, 5), u_z=_param(rng, 5, 5), b_z=_param(rng, 5),
-        w_r=_param(rng, 4, 5), u_r=_param(rng, 5, 5), b_r=_param(rng, 5),
-        w_h=_param(rng, 4, 5), u_h=_param(rng, 5, 5), b_h=_param(rng, 5),
-    )
-    wrt = [x, h] + [getattr(gates, f.name) for f in gates.__dataclass_fields__.values()]
-    return check_scalar_fn(lambda: _weighted(gru_cell(x, h, gates), _rng(71)), wrt)
-
-
 def _toy_gru(rng, in_dim, hidden):
     from .model import GruParams
 
@@ -228,28 +220,20 @@ def _gru_tensors(g) -> list[Tensor]:
 
 def check_bigru() -> float:
     rng = _rng(8)
-    seq = [_param(rng, 2, 3) for _ in range(4)]
+    x = _param(rng, 4, 2, 3)
     mask = np.array([[True, True, True, False], [True, False, True, True]])
     fw, bw = _toy_gru(rng, 3, 4), _toy_gru(rng, 3, 4)
-
-    def build():
-        ann = bigru_encode(seq, mask, fw, bw)
-        return _weighted(ad.concat(ann, axis=1), _rng(81))
-
-    return check_scalar_fn(build, seq + _gru_tensors(fw) + _gru_tensors(bw))
+    build = lambda: _weighted(bigru_encode(x, mask, fw, bw), _rng(81))
+    return check_scalar_fn(build, [x] + _gru_tensors(fw) + _gru_tensors(bw))
 
 
 def check_attention_pool() -> float:
     rng = _rng(9)
-    seq = [_param(rng, 2, 4) for _ in range(3)]
+    x = _param(rng, 3, 2, 4)
     mask = np.array([[True, True, False], [True, True, True]])
     w, b, u = _param(rng, 4, 4), _param(rng, 4), _param(rng, 4)
-
-    def build():
-        pooled, _ = attention_pool(seq, mask, w, b, u)
-        return _weighted(pooled, _rng(91))
-
-    return check_scalar_fn(build, seq + [w, b, u])
+    build = lambda: _weighted(attention_pool(x, mask, w, b, u)[0], _rng(91))
+    return check_scalar_fn(build, [x, w, b, u])
 
 
 def check_conv_stack() -> float:
@@ -381,8 +365,8 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
     ("masked_softmax", check_masked_softmax),
     ("dilated_conv1d", check_dilated_conv1d),
     ("stack", check_stack),
+    ("transpose", check_transpose),
     ("embedding_lookup", check_embedding_lookup),
-    ("gru_cell", check_gru_cell),
     ("bigru_encode", check_bigru),
     ("attention_pool", check_attention_pool),
     ("conv_feature_stack", check_conv_stack),

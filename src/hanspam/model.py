@@ -6,10 +6,11 @@ bidirectional GRU produces token annotations that word attention pools into a
 sentence vector. A second bidirectional GRU plus attention pools sentence
 vectors into a document vector feeding a two-class softmax head.
 
-Batched forwards are time-major. The word stage, from the embedding lookup
-through the convolutional stack, carries one ``[steps, rows, dim]`` tensor,
-and every convolution is ``autodiff.dilated_conv1d``. The GRUs and attention
-then take a sequence as a list of ``[rows, dim]`` tensors, one per step. The
+Batched forwards are time-major. Each level carries one ``[steps, rows, dim]``
+tensor: words from the embedding lookup through the convolutional stack, the
+word BiGRU and word attention, and sentences, regrouped from the pooled
+sentence rows, through the sentence BiGRU and attention. Every convolution is
+``autodiff.dilated_conv1d``; only a GRU's state update runs step by step. The
 whole model composes from differentiable primitives, so every part stays
 gradient-checkable.
 """
@@ -20,7 +21,7 @@ import itertools
 import json
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +69,12 @@ class HanConfig:
                      "tcn_channels", "cnn_maps", "s_max", "t_max", "embed_buckets"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if not self.cnn_windows or min(self.cnn_windows) < 1:
+            raise ConfigError(f"cnn_windows must be positive window sizes, got {list(self.cnn_windows)}")
+        if not 1 <= self.embed_n_min <= self.embed_n_max:
+            raise ConfigError(
+                f"need 1 <= embed_n_min <= embed_n_max, got {self.embed_n_min} and {self.embed_n_max}"
+            )
         if self.variant == "cnn" and max(self.cnn_windows) > self.t_max:
             raise ConfigError(
                 f"cnn window {max(self.cnn_windows)} exceeds t_max {self.t_max}"
@@ -92,6 +99,9 @@ class HanConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "HanConfig":
         d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model config key(s): {', '.join(unknown)}")
         if "cnn_windows" in d:
             d["cnn_windows"] = tuple(d["cnn_windows"])
         return cls(**d)
@@ -134,57 +144,53 @@ class Dropout:
 NO_DROPOUT = Dropout(p=0.0, training=False)
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, gates: GruParams) -> Tensor:
-    """Single GRU step on row-major batches: ``[rows x in] -> [rows x hidden]``."""
-    if x.shape[-1] != gates.w_z.shape[0] or h_prev.shape[-1] != gates.u_z.shape[0]:
-        raise ad.ShapeError(
-            f"gru_cell got x{x.shape}, h{h_prev.shape} for gates "
-            f"w{gates.w_z.shape}, u{gates.u_z.shape}"
-        )
-    z = ad.sigmoid(x @ gates.w_z + h_prev @ gates.u_z + gates.b_z)
-    r = ad.sigmoid(x @ gates.w_r + h_prev @ gates.u_r + gates.b_r)
-    h_cand = ad.tanh(x @ gates.w_h + ad.mul(r, h_prev) @ gates.u_h + gates.b_h)
-    return ad.add(ad.mul(1.0 - z, h_prev), ad.mul(z, h_cand))
-
-
-def _masked_step(x, h_prev, gates, m_col):
-    h_new = gru_cell(x, h_prev, gates)
-    if m_col is None:
-        return h_new
-    return ad.add(ad.mul(h_new, m_col), ad.mul(h_prev, 1.0 - m_col))
-
-
 def bigru_encode(
-    seq: Sequence[Tensor],
+    x: Tensor,
     mask: np.ndarray | None,
     forward: GruParams,
     backward: GruParams,
-) -> list[Tensor]:
-    """Annotations ``[fwd_state; bwd_state]`` per step; masked steps hold state."""
-    if len(seq) == 0:
-        raise ad.ShapeError("bigru_encode needs at least one step")
-    rows = seq[0].shape[0]
-    hidden = forward.u_z.shape[0]
-    cols = None
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        cols = [m[:, t : t + 1] for t in range(len(seq))]
+) -> Tensor:
+    """Annotations ``[steps, rows, 2*hidden]``: ``[fwd_state; bwd_state]`` per step.
 
-    h = Tensor(np.zeros((rows, hidden)))
-    fwd = []
-    for t in range(len(seq)):
-        h = _masked_step(seq[t], h, forward, None if cols is None else cols[t])
-        fwd.append(h)
-    h = Tensor(np.zeros((rows, hidden)))
-    bwd: list[Tensor | None] = [None] * len(seq)
-    for t in reversed(range(len(seq))):
-        h = _masked_step(seq[t], h, backward, None if cols is None else cols[t])
-        bwd[t] = h
-    return [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+    ``x`` is ``[steps, rows, in]`` and ``mask`` ``[rows, steps]``; masked
+    steps hold state. Each gate's input projection, bias included, is one
+    matmul over all steps, so only ``h @ u_*`` runs inside the recurrence
+    (Appleyard et al., arXiv 1604.01946).
+    """
+    if x.ndim != 3 or x.shape[0] < 1 or any(x.shape[2] != g.w_z.shape[0] for g in (forward, backward)):
+        raise ad.ShapeError(
+            f"bigru_encode expects x[steps >= 1, rows, in] with in = {forward.w_z.shape[0]}, got x{x.shape}"
+        )
+    steps, rows, in_dim = x.shape
+    flat = ad.reshape(x, (steps * rows, in_dim))
+    m = None if mask is None else np.asarray(mask, dtype=np.float64)
+
+    def run(g: GruParams, order) -> Tensor:
+        hidden = g.u_z.shape[0]
+        xz, xr, xh = (
+            ad.unstack(ad.reshape(flat @ w + b, (steps, rows, hidden)))
+            for w, b in ((g.w_z, g.b_z), (g.w_r, g.b_r), (g.w_h, g.b_h))
+        )
+        h = Tensor(np.zeros((rows, hidden)))
+        states: list[Tensor | None] = [None] * steps
+        for t in order:
+            z = ad.sigmoid(xz[t] + h @ g.u_z)
+            r = ad.sigmoid(xr[t] + h @ g.u_r)
+            cand = ad.tanh(xh[t] + ad.mul(r, h) @ g.u_h)
+            h_new = ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
+            if m is not None:
+                keep = m[:, t : t + 1]
+                h_new = ad.add(ad.mul(h_new, keep), ad.mul(h, 1.0 - keep))
+            h = states[t] = h_new
+        return ad.stack(states)
+
+    fwd = run(forward, range(steps))
+    bwd = run(backward, reversed(range(steps)))
+    return ad.concat([fwd, bwd], axis=2)
 
 
 def attention_pool(
-    annotations: Sequence[Tensor],
+    annotations: Tensor,
     mask: np.ndarray | None,
     w: Tensor,
     b: Tensor,
@@ -193,19 +199,18 @@ def attention_pool(
 ) -> tuple[Tensor, Tensor]:
     """Score each step against a trained context vector and pool by softmax.
 
-    Returns the pooled rows and the attention weight matrix ``[rows x steps]``.
+    ``annotations`` is ``[steps, rows, dim]`` and ``mask`` ``[rows, steps]``.
+    Returns the pooled rows ``[rows, dim]`` and the attention weight matrix
+    ``[rows, steps]``.
     """
-    if len(annotations) == 0:
-        raise ad.ShapeError("attention_pool needs at least one annotation")
-    ctx_col = ad.reshape(context, (context.size, 1))
-    score_cols = [ad.tanh(h @ w + b) @ ctx_col for h in annotations]
-    scores = ad.concat(score_cols, axis=1) if len(score_cols) > 1 else score_cols[0]
-    alpha = ad.masked_softmax(scores, mask, empty=empty)
-    pooled = None
-    for t, h in enumerate(annotations):
-        term = ad.mul(ad.take_cols(alpha, [t]), h)
-        pooled = term if pooled is None else ad.add(pooled, term)
-    return pooled, alpha
+    if annotations.ndim != 3 or annotations.shape[0] < 1:
+        raise ad.ShapeError(f"attention_pool expects [steps >= 1, rows, dim], got {annotations.shape}")
+    steps, rows, dim = annotations.shape
+    flat = ad.reshape(annotations, (steps * rows, dim))
+    scores = ad.reshape(ad.tanh(flat @ w + b) @ context, (steps, rows))
+    alpha = ad.masked_softmax(ad.transpose(scores, (1, 0)), mask, empty=empty)
+    weights = ad.reshape(ad.transpose(alpha, (1, 0)), (steps, rows, 1))
+    return ad.tsum(ad.mul(weights, annotations), axis=0), alpha
 
 
 def conv_feature_stack(
@@ -399,7 +404,6 @@ class HanModel:
         vocab: Vocabulary,
         table: EmbeddingTable | None = None,
         seed: int = 0,
-        params: dict[str, Tensor] | None = None,
     ):
         if table is None:
             table = EmbeddingTable(
@@ -416,7 +420,7 @@ class HanModel:
         self.vocab = vocab
         self.table = table
         self.seed = seed
-        self.params = params if params is not None else init_params(config, table, seed=seed)
+        self.params = init_params(config, table, seed=seed)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(k, t) for k, t in self.params.items() if t.requires_grad]
@@ -460,11 +464,12 @@ class HanModel:
             x = self._embed(batch)
 
         word_ann = bigru_encode(
-            ad.unstack(x),
+            x,
             batch.tok_mask,
             _gru_params(self.params, "word", "fw"),
             _gru_params(self.params, "word", "bw"),
         )
+        del x  # without a tape, nothing holds the word features past the BiGRU
         sent_vec, alpha_w = attention_pool(
             word_ann,
             batch.tok_mask,
@@ -474,10 +479,10 @@ class HanModel:
             empty="zero",  # padding-only sentence rows; masked out downstream
         )
 
+        # sentence rows are document-major (row = doc * S + sentence): regroup
+        # them into one time-major [S, B, 2u] sequence
         b, s = batch.n_docs, batch.n_sentences
-        sent_seq = [
-            ad.take_rows(sent_vec, np.arange(b) * s + i) for i in range(s)
-        ]
+        sent_seq = ad.transpose(ad.reshape(sent_vec, (b, s, sent_vec.shape[1])), (1, 0, 2))
         sent_ann = bigru_encode(
             sent_seq,
             batch.sent_mask,
@@ -569,7 +574,12 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 
 
 def load_checkpoint(path: str | Path) -> HanModel:
-    """Read a checkpoint; ``CheckpointError`` if the bytes do not form one."""
+    """Read a checkpoint; ``CheckpointError`` if the bytes do not form one.
+
+    The header must be a version-1 hanspam checkpoint whose parameter list
+    (names, shapes and order) is exactly what ``init_params`` builds for its
+    config; this is checked before the payload is read.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -585,37 +595,50 @@ def load_checkpoint(path: str | Path) -> HanModel:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path} has an unreadable header: {exc}") from None
-        counts = [int(np.prod(spec["shape"])) for spec in header["params"]]
-        declared = 8 * sum(counts)
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path} has a header that is not a JSON object")
+        required = ("format", "version", "config", "seed", "vocab", "embed", "params")
+        missing = [k for k in required if k not in header]
+        if missing:
+            raise CheckpointError(f"{path} has a header without {', '.join(missing)}")
+        if header["format"] != "hanspam-checkpoint" or header["version"] != 1:
+            raise CheckpointError(
+                f"{path} is format {header['format']!r} version {header['version']!r}, "
+                "not hanspam-checkpoint version 1"
+            )
+        try:
+            listed = [(spec["name"], tuple(int(n) for n in spec["shape"])) for spec in header["params"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path} has a malformed parameter list: {exc!r}") from None
+        declared = 8 * sum(int(np.prod(shape)) for _, shape in listed)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload < declared:
             raise CheckpointError(f"{path} is truncated: payload has {payload} of {declared} bytes")
         if payload > declared:
             raise CheckpointError(f"{path} has {payload - declared} trailing bytes after the payload")
-        config = HanConfig.from_dict(header["config"])
-        vocab = Vocabulary(
-            header["vocab"]["tokens"], header["vocab"]["freqs"], header["vocab"]["min_count"]
-        )
-        emb = header["embed"]
-        table = EmbeddingTable(
-            vocab,
-            dim=emb["dim"],
-            n_min=emb["n_min"],
-            n_max=emb["n_max"],
-            buckets=emb["buckets"],
-            seed=header["seed"],
-            trainable=emb["trainable"],
-        )
-        params: dict[str, Tensor] = {}
-        for spec, count in zip(header["params"], counts):
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(spec["shape"]).copy()
-            if spec["name"] == "embed.word":
-                table.word.data = data
-                params[spec["name"]] = table.word
-            elif spec["name"] == "embed.bucket":
-                table.bucket.data = data
-                params[spec["name"]] = table.bucket
-            else:
-                params[spec["name"]] = Tensor(data, requires_grad=True, name=spec["name"])
-    model = HanModel(config, vocab, table=table, seed=header["seed"], params=params)
+        try:
+            config = HanConfig.from_dict(header["config"])
+            vocab = Vocabulary(
+                header["vocab"]["tokens"], header["vocab"]["freqs"], header["vocab"]["min_count"]
+            )
+            emb = header["embed"]
+            table = EmbeddingTable(
+                vocab,
+                dim=emb["dim"],
+                n_min=emb["n_min"],
+                n_max=emb["n_max"],
+                buckets=emb["buckets"],
+                seed=header["seed"],
+                trainable=emb["trainable"],
+            )
+            model = HanModel(config, vocab, table=table, seed=header["seed"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path} has a bad header: {type(exc).__name__}: {exc}") from None
+        built = [(name, t.shape) for name, t in model.params.items()]
+        if listed != built:
+            spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"
+            got, want = next((a, b) for a, b in itertools.zip_longest(listed, built) if a != b)
+            raise CheckpointError(f"{path} lists {spec(got)} where its config builds {spec(want)}")
+        for t in model.params.values():
+            t.data = np.frombuffer(fh.read(t.size * 8), dtype="<f8").reshape(t.shape).copy()
     return model

@@ -38,6 +38,19 @@ class TestMatmul:
         fd = finite_difference(lambda: ad.tsum(ad.matmul(a, b)).item(), a)
         assert relative_error(a.grad, fd) < 1e-4
 
+    @pytest.mark.parametrize("rows_per_call", [1, 3, 2**13])
+    def test_row_blocks_match_one_product(self, rows_per_call, monkeypatch):
+        # a one-row block goes through a different BLAS kernel, so only the
+        # last bits may differ from one product
+        monkeypatch.setattr(ad, "_MATMUL_ROWS", rows_per_call)
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1, 1, (7, 4))
+        for b in (rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, 4)):
+            out = ad.matmul(Tensor(a), Tensor(b)).data
+            assert out.shape == (a @ b).shape
+            assert np.max(np.abs(out - a @ b)) < 1e-14
+        assert ad.matmul(Tensor(np.zeros((0, 4))), Tensor(np.ones((4, 2)))).shape == (0, 2)
+
 
 class TestMaskedSoftmax:
     def test_symmetric_scores_uniform(self):

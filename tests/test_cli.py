@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -206,6 +207,25 @@ class TestCross:
         assert len(err.strip().splitlines()) == 1
 
 
+def _with_header(edit, drop=None):
+    """Checkpoint corrupter: rewrite the JSON header with ``edit``, and cut the
+    parameter named ``drop`` out of the payload as well."""
+
+    def corrupt(raw):
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header, payload = json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+        offset = 0
+        for spec in header["params"]:
+            size = 8 * int(np.prod(spec["shape"]))
+            if spec["name"] == drop:
+                payload = payload[:offset] + payload[offset + size :]
+            offset += size
+        blob = json.dumps(edit(header)).encode("utf-8")
+        return raw[:8] + struct.pack("<Q", len(blob)) + blob + payload
+
+    return corrupt
+
+
 class TestExitCodes:
     def test_corrupt_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys):
         bad = tmp_path / "corrupt.bin"
@@ -221,8 +241,25 @@ class TestExitCodes:
             (lambda b: b[:-5], "truncated: payload has"),
             (lambda b: b"HANCKPT\x02" + b[8:], "bad magic"),
             (lambda b: b + b"junk", "4 trailing bytes"),
+            (_with_header(lambda h: {k: v for k, v in h.items() if k != "vocab"}), "header without vocab"),
+            (_with_header(lambda h: [h]), "header that is not a JSON object"),
+            (
+                _with_header(
+                    lambda h: {**h, "params": [p for p in h["params"] if p["name"] != "head.w"]}, drop="head.w"
+                ),
+                "lists head.b [2] where its config builds head.w [8, 2]",
+            ),
+            (_with_header(lambda h: {**h, "version": 99}), "version 99, not hanspam-checkpoint version 1"),
+            (_with_header(lambda h: {**h, "format": "other"}), "format 'other'"),
+            (
+                _with_header(lambda h: {**h, "config": {**h["config"], "gru_hidden": 5}}),
+                "lists word_gru.fw.w_z [3, 4] where its config builds word_gru.fw.w_z [3, 5]",
+            ),
         ],
-        ids=["cut_header", "cut_payload", "bad_magic", "trailing_junk"],
+        ids=[
+            "cut_header", "cut_payload", "bad_magic", "trailing_junk", "no_vocab", "list_header",
+            "no_head_w", "version_99", "other_format", "config_over_other_shapes",
+        ],
     )
     def test_damaged_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys, corrupt, message):
         docs = make_corpus(n_docs=8, seed=9)
@@ -236,6 +273,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"bogus": 1}, "unknown model config key(s): bogus"),
+            ({"cnn_windows": []}, "cnn_windows must be positive window sizes, got []"),
+            ({"cnn_windows": [0, 2]}, "cnn_windows must be positive window sizes, got [0, 2]"),
+            ({"embed_n_min": 5, "embed_n_max": 3}, "need 1 <= embed_n_min <= embed_n_max, got 5 and 3"),
+            ([1, 2], "config section 'model' must be a JSON object, got [1, 2]"),
+        ],
+        ids=["unknown_key", "no_windows", "zero_window", "ngram_range", "model_not_object"],
+    )
+    def test_bad_model_config_is_input_error(self, tmp_path, corpus_dir, capsys, model, message):
+        section = {**TINY_MODEL, **model} if isinstance(model, dict) else model
+        cfg = write_config(tmp_path / "cfg.json", model=section)
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     def test_runtime_failure_is_exit_one(self, tmp_path, corpus_dir, monkeypatch, capsys):
         docs = make_corpus(n_docs=8, seed=9)

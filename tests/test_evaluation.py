@@ -282,12 +282,6 @@ class TestCrossDatasetEval:
         jsonl = matrix.to_jsonl()
         assert jsonl.count("\n") == 27
 
-    def test_worker_pool_matches_sequential(self, monkeypatch):
-        sequential = cross_dataset_eval(_stub_datasets(), _stub_train, _stub_score, k=3)
-        monkeypatch.setenv("HANSPAM_THREADS", "3")
-        threaded = cross_dataset_eval(_stub_datasets(), _stub_train, _stub_score, k=3)
-        assert threaded.records() == sequential.records()
-
 
 class TestEvaluateScores:
     def test_threshold_and_cell_fields(self):

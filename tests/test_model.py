@@ -15,7 +15,6 @@ from hanspam.model import (
     bigru_encode,
     collate,
     conv_feature_stack,
-    gru_cell,
     load_checkpoint,
     tcn_stack,
 )
@@ -41,33 +40,54 @@ def random_gates(rng, in_dim, hidden, scale=0.6):
     )
 
 
+def reference_gru_cell(x, h_prev, gates):
+    """One GRU step on ``[rows, in]``, as the per-step model computed it (biases added last)."""
+    z = ad.sigmoid(x @ gates.w_z + h_prev @ gates.u_z + gates.b_z)
+    r = ad.sigmoid(x @ gates.w_r + h_prev @ gates.u_r + gates.b_r)
+    h_cand = ad.tanh(x @ gates.w_h + ad.mul(r, h_prev) @ gates.u_h + gates.b_h)
+    return ad.add(ad.mul(1.0 - z, h_prev), ad.mul(z, h_cand))
+
+
 class TestGruCell:
+    """One GRU step's arithmetic, seen through ``bigru_encode``."""
+
     def test_zero_params_halve_state(self):
-        # z = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0, so the new
-        # state is (1 - z) * h = 0.5 h
-        h = Tensor(np.array([[0.4, -1.2, 2.0]]))
-        x = Tensor(np.array([[1.0, 5.0]]))
-        out = gru_cell(x, h, zero_gates(2, 3))
-        assert np.allclose(out.data, 0.5 * h.data)
+        # zero gates give z = r = sigmoid(0) = 0.5, and with b_h = c the
+        # candidate is tanh c, so each step halves the state and adds
+        # 0.5 tanh c: 0 -> 0.5 tanh c -> 0.75 tanh c
+        c = np.array([0.4, -1.2, 2.0])
+        gates = zero_gates(2, 3)
+        gates.b_h = Tensor(c)
+        x = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 4, 2)))
+        ann = bigru_encode(x, None, gates, gates).data
+        fwd, bwd = ann[..., :3], ann[..., 3:]
+        for first, second in ((fwd[0], fwd[1]), (bwd[1], bwd[0])):
+            assert np.allclose(first, 0.5 * np.tanh(c), atol=1e-15)
+            assert np.allclose(second, 0.75 * np.tanh(c), atol=1e-15)
 
     def test_zero_state_zero_params(self):
-        out = gru_cell(Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 3))), zero_gates(4, 3))
-        assert np.array_equal(out.data, np.zeros((2, 3)))
+        gates = zero_gates(4, 3)
+        out = bigru_encode(Tensor(np.ones((3, 2, 4))), None, gates, gates)
+        assert np.array_equal(out.data, np.zeros((3, 2, 6)))
 
     def test_shape_mismatch(self):
+        gates = zero_gates(2, 3)
+        for x in (np.ones((1, 1, 5)), np.ones((1, 2)), np.ones((0, 1, 2))):
+            with pytest.raises(ad.ShapeError):
+                bigru_encode(Tensor(x), None, gates, gates)
         with pytest.raises(ad.ShapeError):
-            gru_cell(Tensor(np.ones((1, 5))), Tensor(np.zeros((1, 3))), zero_gates(2, 3))
+            bigru_encode(Tensor(np.ones((1, 1, 2))), None, gates, zero_gates(5, 3))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-        h = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
-        gates = random_gates(rng, 3, 4)
-        for t in vars(gates).values():
+        x = Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True)
+        fw, bw = random_gates(rng, 3, 4), random_gates(rng, 3, 4)
+        gates = list(vars(fw).values()) + list(vars(bw).values())
+        for t in gates:
             t.requires_grad = True
             t.zero_grad()
-        wrt = [x, h] + list(vars(gates).values())
-        err = check_scalar_fn(lambda: ad.tsum(gru_cell(x, h, gates)), wrt)
+        mask = np.array([[True, True, False], [True, True, True]])
+        err = check_scalar_fn(lambda: ad.tsum(bigru_encode(x, mask, fw, bw)), [x] + gates)
         assert err < 1e-4
 
 
@@ -75,22 +95,22 @@ class TestBigru:
     def test_single_step(self):
         rng = np.random.default_rng(1)
         fw, bw = random_gates(rng, 3, 2), random_gates(rng, 3, 2)
-        x = Tensor(rng.uniform(-1, 1, (1, 3)))
-        ann = bigru_encode([x], None, fw, bw)
-        assert len(ann) == 1
-        zero = Tensor(np.zeros((1, 2)))
+        x = Tensor(rng.uniform(-1, 1, (1, 1, 3)))
+        ann = bigru_encode(x, None, fw, bw)
+        assert ann.shape == (1, 1, 4)
+        zero, step = Tensor(np.zeros((1, 2))), Tensor(x.data[0])
         expected = np.concatenate(
-            [gru_cell(x, zero, fw).data, gru_cell(x, zero, bw).data], axis=1
+            [reference_gru_cell(step, zero, fw).data, reference_gru_cell(step, zero, bw).data], axis=1
         )
-        assert np.allclose(ann[0].data, expected)
+        assert np.allclose(ann.data[0], expected)
 
     def test_palindrome_with_shared_params_reverses_with_swapped_halves(self):
         rng = np.random.default_rng(2)
         shared = random_gates(rng, 3, 4)
         steps = [rng.uniform(-1, 1, (1, 3)) for _ in range(3)]
-        seq = [Tensor(s) for s in steps + steps[-2::-1]]  # palindrome, length 5
-        ann = [a.data for a in bigru_encode(seq, None, shared, shared)]
-        t_total = len(seq)
+        x = Tensor(np.stack(steps + steps[-2::-1]))  # palindrome, length 5
+        ann = bigru_encode(x, None, shared, shared).data
+        t_total = x.shape[0]
         for t in range(t_total):
             mirrored = ann[t_total - 1 - t]
             swapped = np.concatenate([mirrored[:, 4:], mirrored[:, :4]], axis=1)
@@ -99,20 +119,20 @@ class TestBigru:
     def test_masked_positions_hold_state(self):
         rng = np.random.default_rng(3)
         fw, bw = random_gates(rng, 2, 3), random_gates(rng, 2, 3)
-        seq = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(4)]
+        x = Tensor(rng.uniform(-1, 1, (4, 1, 2)))
         mask = np.array([[True, True, False, False]])
-        ann = bigru_encode(seq, mask, fw, bw)
+        ann = bigru_encode(x, mask, fw, bw).data
         # forward half at the masked tail equals the last unmasked state
-        assert np.allclose(ann[2].data[:, :3], ann[1].data[:, :3])
-        assert np.allclose(ann[3].data[:, :3], ann[1].data[:, :3])
+        assert np.allclose(ann[2][:, :3], ann[1][:, :3])
+        assert np.allclose(ann[3][:, :3], ann[1][:, :3])
         # backward half entering the masked tail is still the zero init state
-        assert np.allclose(ann[2].data[:, 3:], 0.0)
+        assert np.allclose(ann[2][:, 3:], 0.0)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(4)
         fw = random_gates(rng, 2, 3)
         with pytest.raises(ad.ShapeError):
-            bigru_encode([], None, fw, fw)
+            bigru_encode(Tensor(np.zeros((0, 1, 2))), None, fw, fw)
 
     def test_gradcheck_through_bigru(self):
         from hanspam.gradcheck import check_bigru
@@ -129,19 +149,20 @@ class TestAttentionPool:
 
     def test_identical_annotations_pool_to_themselves(self):
         rng = np.random.default_rng(5)
-        h = Tensor(rng.uniform(-1, 1, (2, 4)))
+        h = rng.uniform(-1, 1, (2, 4))
         w, b, u = self._wbu(rng, 4)
-        pooled, alpha = attention_pool([h, h, h], None, w, b, u)
+        pooled, alpha = attention_pool(Tensor(np.stack([h, h, h])), None, w, b, u)
+        assert alpha.shape == (2, 3)
         assert np.allclose(alpha.data, 1 / 3)
-        assert np.allclose(pooled.data, h.data)
+        assert np.allclose(pooled.data, h)
 
     def test_single_step(self):
         rng = np.random.default_rng(6)
-        h = Tensor(rng.uniform(-1, 1, (3, 4)))
+        h = rng.uniform(-1, 1, (3, 4))
         w, b, u = self._wbu(rng, 4)
-        pooled, alpha = attention_pool([h], None, w, b, u)
+        pooled, alpha = attention_pool(Tensor(h[None]), None, w, b, u)
         assert np.allclose(alpha.data, 1.0)
-        assert np.allclose(pooled.data, h.data)
+        assert np.allclose(pooled.data, h)
 
     def test_log2_score_gap_weights_one_and_two_thirds(self):
         # identity W, zero b: annotations chosen so the two scores are
@@ -150,28 +171,35 @@ class TestAttentionPool:
         b = Tensor(np.zeros(2))
         u = Tensor(np.array([1.0, 0.0]))
         score2 = np.arctanh(np.log(2.0))  # tanh(score2) = ln 2
-        h1 = Tensor(np.array([[0.0, 0.0]]))
-        h2 = Tensor(np.array([[score2, 0.0]]))
-        pooled, alpha = attention_pool([h1, h2], None, w, b, u)
+        h1 = np.array([[0.0, 0.0]])
+        h2 = np.array([[score2, 0.0]])
+        pooled, alpha = attention_pool(Tensor(np.stack([h1, h2])), None, w, b, u)
         assert np.allclose(alpha.data, [[1 / 3, 2 / 3]], atol=1e-12)
-        assert np.allclose(pooled.data, (h1.data + 2.0 * h2.data) / 3.0, atol=1e-12)
+        assert np.allclose(pooled.data, (h1 + 2.0 * h2) / 3.0, atol=1e-12)
 
     def test_all_masked_raises(self):
         rng = np.random.default_rng(7)
-        h = Tensor(rng.uniform(-1, 1, (1, 3)))
+        h = Tensor(rng.uniform(-1, 1, (1, 1, 3)))
         w, b, u = self._wbu(rng, 3)
         with pytest.raises(ad.EmptyAttentionError):
-            attention_pool([h], np.array([[False]]), w, b, u)
+            attention_pool(h, np.array([[False]]), w, b, u)
 
     def test_weights_sum_to_one_over_unmasked(self):
         rng = np.random.default_rng(8)
-        seq = [Tensor(rng.uniform(-1, 1, (4, 3))) for _ in range(5)]
+        x = Tensor(rng.uniform(-1, 1, (5, 4, 3)))
         mask = rng.random((4, 5)) > 0.4
         mask[:, 2] = True
         w, b, u = self._wbu(rng, 3)
-        _, alpha = attention_pool(seq, mask, w, b, u)
+        _, alpha = attention_pool(x, mask, w, b, u)
         assert np.max(np.abs(alpha.data.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(alpha.data[~mask] == 0.0)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(9)
+        w, b, u = self._wbu(rng, 3)
+        for x in (np.ones((2, 3)), np.ones((0, 2, 3))):
+            with pytest.raises(ad.ShapeError):
+                attention_pool(Tensor(x), None, w, b, u)
 
 
 class TestConvStacks:
@@ -284,26 +312,35 @@ def per_step_tcn(seq, params, levels, kernel):
     return seq
 
 
-class TestConvStacksMatchPerStepReference:
-    """The one-op stacks against the per-step tap loops, values and gradients."""
+def assert_matches_reference(new, reference, leaves):
+    """``new()`` and ``reference()`` agree in values and in every leaf's gradient, to 1e-12.
 
-    @staticmethod
-    def _compare(stacked, reference, x, params):
-        grads = []
-        for build in (stacked, reference):
-            for t in [x] + list(params.values()):
-                t.zero_grad()
-            with ad.Tape() as tape:
-                out = build()
-                loss = ad.tsum(ad.mul(out, np.linspace(-1.0, 1.0, out.size).reshape(out.shape)))
-            tape.backward(loss)
-            grads.append((out.data.copy(), [t.grad.copy() for t in [x] + list(params.values())]))
-        (out_a, grad_a), (out_b, grad_b) = grads
+    Each build returns one output tensor or a tuple of them.
+    """
+    results = []
+    for build in (new, reference):
+        for t in leaves:
+            t.zero_grad()
+        with ad.Tape() as tape:
+            outs = build()
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            loss = None
+            for out in outs:
+                term = ad.tsum(ad.mul(out, np.linspace(-1.0, 1.0, out.size).reshape(out.shape)))
+                loss = term if loss is None else ad.add(loss, term)
+        tape.backward(loss)
+        results.append(([o.data.copy() for o in outs], [t.grad.copy() for t in leaves]))
+    (outs_a, grad_a), (outs_b, grad_b) = results
+    for out_a, out_b in zip(outs_a, outs_b, strict=True):
         assert out_a.shape == out_b.shape
         assert np.max(np.abs(out_a - out_b)) <= 1e-12 * max(np.max(np.abs(out_b)), 1.0)
-        scale = max(max(np.max(np.abs(g)) for g in grad_b), 1.0)
-        for ga, gb in zip(grad_a, grad_b):
-            assert np.max(np.abs(ga - gb)) <= 1e-12 * scale
+    scale = max(max(np.max(np.abs(g)) for g in grad_b), 1.0)
+    for ga, gb in zip(grad_a, grad_b):
+        assert np.max(np.abs(ga - gb)) <= 1e-12 * scale
+
+
+class TestConvStacksMatchPerStepReference:
+    """The one-op stacks against the per-step tap loops, values and gradients."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cnn(self, seed):
@@ -316,11 +353,10 @@ class TestConvStacksMatchPerStepReference:
             for i in range(w):
                 params[f"cnn.w{w}.tap{i}"] = Tensor(rng.uniform(-1, 1, (dim, maps)), requires_grad=True)
             params[f"cnn.w{w}.bias"] = Tensor(rng.uniform(-0.5, 0.5, maps), requires_grad=True)
-        self._compare(
+        assert_matches_reference(
             lambda: conv_feature_stack(x, params, windows),
             lambda: ad.stack(per_step_cnn(ad.unstack(x), params, windows)),
-            x,
-            params,
+            [x] + list(params.values()),
         )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -338,11 +374,10 @@ class TestConvStacksMatchPerStepReference:
             params[f"tcn.block{lvl}.bias"] = leaf(channels)
             if cin != channels:
                 params[f"tcn.block{lvl}.proj"] = leaf(cin, channels)
-        self._compare(
+        assert_matches_reference(
             lambda: tcn_stack(x, params, levels, kernel),
             lambda: ad.stack(per_step_tcn(ad.unstack(x), params, levels, kernel)),
-            x,
-            params,
+            [x] + list(params.values()),
         )
 
     def test_window_longer_than_sentence(self):
@@ -351,12 +386,85 @@ class TestConvStacksMatchPerStepReference:
         x = Tensor(rng.uniform(-1, 1, (2, 2, 3)), requires_grad=True)
         params = {f"cnn.w5.tap{i}": Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for i in range(5)}
         params["cnn.w5.bias"] = Tensor(np.zeros(2), requires_grad=True)
-        self._compare(
+        assert_matches_reference(
             lambda: conv_feature_stack(x, params, (5,)),
             lambda: ad.stack(per_step_cnn(ad.unstack(x), params, (5,))),
-            x,
-            params,
+            [x] + list(params.values()),
         )
+
+
+def per_step_bigru(seq, mask, fw, bw):
+    """Reference BiGRU over a list of ``[rows, in]`` steps: one cell per step and direction."""
+    rows, hidden = seq[0].shape[0], fw.u_z.shape[0]
+
+    def run(gates, order):
+        h, states = Tensor(np.zeros((rows, hidden))), [None] * len(seq)
+        for t in order:
+            new = reference_gru_cell(seq[t], h, gates)
+            if mask is not None:
+                keep = mask[:, t : t + 1].astype(np.float64)
+                new = ad.add(ad.mul(new, keep), ad.mul(h, 1.0 - keep))
+            h = states[t] = new
+        return states
+
+    fwd, bwd = run(fw, range(len(seq))), run(bw, reversed(range(len(seq))))
+    return [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+
+
+def per_step_attention(seq, mask, w, b, context, empty):
+    """Reference attention: one score column per step, pooled by a left fold."""
+    ctx_col = ad.reshape(context, (context.size, 1))
+    scores = ad.concat([ad.tanh(h @ w + b) @ ctx_col for h in seq], axis=1)
+    alpha = ad.masked_softmax(scores, mask, empty=empty)
+    pooled = None
+    for col, h in zip(ad.unstack(ad.transpose(alpha, (1, 0))), seq):
+        term = ad.mul(ad.reshape(col, (h.shape[0], 1)), h)
+        pooled = term if pooled is None else ad.add(pooled, term)
+    return pooled, alpha
+
+
+def _random_mask(rng, rows, steps):
+    """Random padding with at least one real step per row, except an all-padding row 0 when rows > 1."""
+    mask = rng.random((rows, steps)) > 0.4
+    mask[:, 0] = True
+    if rows > 1:
+        mask[0] = False
+    return mask
+
+
+class TestSequenceOpsMatchPerStepReference:
+    """Whole-sequence BiGRU and attention against per-step loops, values and gradients."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bigru(self, steps, seed):
+        rng = np.random.default_rng(300 + 10 * steps + seed)
+        rows, in_dim, hidden = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        x = Tensor(rng.uniform(-1, 1, (steps, rows, in_dim)), requires_grad=True)
+        fw, bw = random_gates(rng, in_dim, hidden), random_gates(rng, in_dim, hidden)
+        gates = list(vars(fw).values()) + list(vars(bw).values())
+        for t in gates:
+            t.requires_grad = True
+        for mask in (None, _random_mask(rng, rows, steps)):
+            assert_matches_reference(
+                lambda: bigru_encode(x, mask, fw, bw),
+                lambda: ad.stack(per_step_bigru(ad.unstack(x), mask, fw, bw)),
+                [x] + gates,
+            )
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention_pool(self, steps, seed):
+        rng = np.random.default_rng(400 + 10 * steps + seed)
+        rows, dim = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        leaf = lambda *shape: Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+        x, w, b, u = leaf(steps, rows, dim), leaf(dim, dim), leaf(dim), leaf(dim)
+        for mask in (None, _random_mask(rng, rows, steps)):
+            assert_matches_reference(
+                lambda: attention_pool(x, mask, w, b, u, empty="zero"),
+                lambda: per_step_attention(ad.unstack(x), mask, w, b, u, empty="zero"),
+                [x, w, b, u],
+            )
 
 
 def small_model(variant="none", seed=0):
@@ -441,6 +549,54 @@ class TestForward:
         assert model.config.feature_dim == model.config.embed_dim
 
 
+class TestTapeEntriesDoNotGrowWithLength:
+    """Attention and the sentence regroup record the same entries at any length."""
+
+    def test_attention_pool(self):
+        rng = np.random.default_rng(15)
+        w, b, u = (Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in ((4, 4), (4,), (4,)))
+        counts = set()
+        for steps in (1, 3, 8):
+            x = Tensor(rng.uniform(-1, 1, (steps, 3, 4)), requires_grad=True)
+            with ad.Tape() as tape:
+                attention_pool(x, np.ones((3, steps), dtype=bool), w, b, u)
+            counts.add(len(tape))
+        assert len(counts) == 1, counts
+
+    def test_forward_batch_attention_and_sentence_regroup(self, monkeypatch):
+        import hanspam.model as hm
+
+        marks = []  # (function, "in" | "out", tape length)
+        current = {}
+
+        def traced(name, fn):
+            def wrapper(*args, **kwargs):
+                marks.append((name, "in", len(current["tape"])))
+                out = fn(*args, **kwargs)
+                marks.append((name, "out", len(current["tape"])))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(hm, "bigru_encode", traced("gru", hm.bigru_encode))
+        monkeypatch.setattr(hm, "attention_pool", traced("attn", hm.attention_pool))
+        model = small_model("none")
+        words = ["alpha", "beta", "gamma", "delta", "unseen"]
+        counts = set()
+        for n_sent, n_tok in ((1, 1), (2, 3), (4, 5)):
+            sentences = [[words[(i + j) % 5] for j in range(n_tok)] for i in range(n_sent)]
+            doc = encode_document(EmailDocument(label=1, sentences=sentences), model.vocab, model.table)
+            batch = collate([doc])
+            marks.clear()
+            with ad.Tape() as tape:
+                current["tape"] = tape
+                model.forward_batch(batch)
+            (_, _, _), (_, _, _), word_in, word_out, sent_gru_in, _, sent_in, sent_out = marks
+            assert [m[0] for m in (word_in, sent_gru_in, sent_in)] == ["attn", "gru", "attn"]
+            counts.add((word_out[2] - word_in[2], sent_gru_in[2] - word_out[2], sent_out[2] - sent_in[2]))
+        assert len(counts) == 1, counts
+
+
 class TestBackward:
     def test_grad_only_on_leaves(self):
         model = small_model("cnn")
@@ -521,6 +677,21 @@ class TestConfig:
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             HanConfig(dropout=1.0)
+
+    def test_from_dict_rejects_unknown_keys_by_name(self):
+        with pytest.raises(ConfigError, match="bogus, extra"):
+            HanConfig.from_dict({"variant": "none", "extra": 1, "bogus": 2})
+
+    @pytest.mark.parametrize("windows", [(), (0, 2), (2, -1)])
+    def test_windows_must_be_positive(self, windows):
+        for variant in ("cnn", "none"):
+            with pytest.raises(ConfigError, match="cnn_windows"):
+                HanConfig(variant=variant, cnn_windows=windows)
+
+    @pytest.mark.parametrize("n_min, n_max", [(0, 3), (5, 3)])
+    def test_ngram_range(self, n_min, n_max):
+        with pytest.raises(ConfigError, match="embed_n_min"):
+            HanConfig(embed_n_min=n_min, embed_n_max=n_max)
 
     def test_feature_dims(self):
         assert HanConfig(variant="none", embed_dim=32).feature_dim == 32
