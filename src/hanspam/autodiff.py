@@ -131,7 +131,7 @@ class Tensor:
 
 @dataclass
 class SparseRows:
-    """Gradient on some slices along axis 0 only: ``dense[idx[i]] += val[i]``."""
+    """Gradient on some slices along axis 0 only: ``np.add.at(dense, idx, val)``, any ``idx`` shape."""
 
     idx: Array
     val: Array
@@ -442,7 +442,8 @@ def transpose(x, axes) -> Tensor:
 
 
 def take_rows(x, idx) -> Tensor:
-    """Gather rows of a 2-D tensor; the backward rule scatter-adds sparsely."""
+    """Gather slices along axis 0 by an index array of any shape, ``x.data[idx]``;
+    the backward rule scatter-adds sparsely, so repeated indices sum their gradients."""
     x = _wrap(x)
     idx = np.asarray(idx, dtype=np.intp)
     out = x.data[idx]
@@ -518,10 +519,10 @@ def masked_softmax(scores, mask=None, empty: str = "error") -> Tensor:
     return _record((x,), y, rule)
 
 
-# float64 elements per matmul temporary in dilated_conv1d (16 MB): the
-# allocator recycles blocks this small, while larger ones are mapped and
-# zeroed afresh on every call
-_CONV_TEMP_ELEMS = 2**21
+# float64 elements per temporary in dilated_conv1d's matmuls and
+# embedding_lookup's bucket gathers (16 MB): the allocator recycles blocks
+# this small, while larger ones are mapped and zeroed afresh on every call
+_TEMP_ELEMS = 2**21
 
 
 def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
@@ -557,7 +558,7 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
     if mode == "valid" and n < span + 1:
         raise ShapeError(f"input length {n} has no full window for k={k}, d={d}")
     length = n - span if mode == "valid" else n
-    block = max(1, _CONV_TEMP_ELEMS // max(1, rows * cin, rows * cout))  # positions per matmul
+    block = max(1, _TEMP_ELEMS // max(1, rows * cin, rows * cout))  # positions per matmul
 
     def windows():
         """Per tap and block of positions: the tap, the x slice it reads, the output slice it feeds."""
@@ -617,44 +618,40 @@ def embedding_lookup(
     bucket_ids,
     bucket_offsets,
 ) -> Tensor:
-    """Compose token vectors: ``weight * word_row + mean(bucket rows)``.
+    """Compose token vectors ``[n, dim]``: ``weight * word_row + mean(bucket rows)``.
 
-    ``word_ids`` and ``word_weight`` share a shape, ``[n]`` or time-major
-    ``[T, rows]``; the result appends the embedding axis. ``bucket_ids`` and
-    ``bucket_offsets`` are a CSR-style ragged list over the positions in C
-    order: position ``p`` owns ``bucket_ids[bucket_offsets[p]:bucket_offsets[p+1]]``.
-    Bucket rows are gathered one index of axis 0 (one time step) at a time,
-    so the forward never holds a whole batch of them. Positions with no
-    buckets and zero weight (padding) come out exactly zero and get no
-    gradient. Gradients reach both tables as sparse row updates.
+    ``word_ids`` and ``word_weight`` are ``[n]``, one entry per token.
+    ``bucket_ids`` and ``bucket_offsets`` are a CSR-style ragged list: token
+    ``i`` owns ``bucket_ids[bucket_offsets[i]:bucket_offsets[i+1]]``. Each
+    token's scaled bucket rows are added to its word row one at a time, in list
+    order; they are gathered in blocks of at most ``_TEMP_ELEMS`` elements, so
+    the forward never holds all of them at once. A token with no buckets and
+    zero weight (padding) comes out exactly zero and gets no gradient.
+    Gradients reach both tables as sparse row updates.
     """
-    shape = np.shape(word_ids)
-    ids = np.asarray(word_ids, dtype=np.intp).reshape(-1)
-    w = np.asarray(word_weight, dtype=np.float64).reshape(-1)
+    ids = np.asarray(word_ids, dtype=np.intp)
+    w = np.asarray(word_weight, dtype=np.float64)
     bidx = np.asarray(bucket_ids, dtype=np.intp)
     offs = np.asarray(bucket_offsets, dtype=np.intp)
-    n, dim = ids.size, word_table.shape[1]
+    if ids.ndim != 1 or w.shape != ids.shape or offs.shape != (ids.size + 1,):
+        raise ShapeError(f"embedding_lookup takes [n] ids and weights and n+1 offsets, got {ids.shape}")
     counts = np.diff(offs)
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    rows = np.repeat(np.arange(n), counts)
+    owner = np.repeat(np.arange(ids.size), counts)
 
-    out = np.empty((n, dim))
-    steps = shape[0] if len(shape) > 1 else 1
-    per = n // steps if steps else 0
-    for t in range(steps):
-        lo, hi = t * per, (t + 1) * per
-        b0, b1 = offs[lo], offs[hi]
-        np.multiply(w[lo:hi, None], word_table.data[ids[lo:hi]], out=out[lo:hi])
-        if b1 > b0:
-            np.add.at(out[lo:hi], rows[b0:b1] - lo, inv[rows[b0:b1], None] * bucket_table.data[bidx[b0:b1]])
+    out = w[:, None] * word_table.data[ids]
+    block = max(1, _TEMP_ELEMS // word_table.shape[1])  # bucket rows per gather
+    for lo in range(0, bidx.size, block):
+        rows = bucket_table.data[bidx[lo : lo + block]]
+        rows *= inv[owner[lo : lo + block], None]
+        np.add.at(out, owner[lo : lo + block], rows)
 
     def rule(g):
-        g = g.reshape(n, dim)
         keep = w > 0
         gw = SparseRows(ids[keep], g[keep] * w[keep, None], word_table.shape)
-        gb_val = g[rows]
-        gb_val *= inv[rows, None]  # in place: this is the batch's largest gradient array
+        gb_val = g[owner]
+        gb_val *= inv[owner, None]  # in place: one row per bucket of every token
         gb = SparseRows(bidx, gb_val, bucket_table.shape)
         return gw, gb
 
-    return _record((word_table, bucket_table), out.reshape(shape + (dim,)), rule)
+    return _record((word_table, bucket_table), out, rule)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .evaluation import (
+    DIAGONAL_PROTOCOLS,
     DatasetSpec,
     FoldError,
     PartialMatrixError,
@@ -276,6 +277,9 @@ def cmd_cross(args) -> int:
         entry = datasets_cfg[name]
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"dataset {name!r} in the 'datasets' table has no \"path\"")
+        diagonal = entry.get("diagonal", "cv")
+        if diagonal not in DIAGONAL_PROTOCOLS:
+            raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
         loaded = load_corpus(entry["path"], entry.get("layout", "merged"))
         docs, _ = _documents(loaded.emails, _caps(cfg), args.include_subject)
         specs.append(
@@ -283,8 +287,8 @@ def cmd_cross(args) -> int:
                 name=name,
                 docs=docs,
                 labels=np.array([d.label for d in docs]),
-                groups=[d.group for d in docs] if entry.get("diagonal", "cv") != "cv" else None,
-                diagonal=entry.get("diagonal", "cv"),
+                groups=[d.group for d in docs] if diagonal != "cv" else None,
+                diagonal=diagonal,
             )
         )
 
@@ -320,20 +324,44 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_RUNTIME
 
 
+_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
+_CELL_FIELDS = {"train_id": str, "test_id": str, **dict.fromkeys(_METRICS, (int, float))}
+_AGGREGATE_FIELDS = {"aggregate": str, "mean": (int, float), "stddev": (int, float)}
+
+
+def _matrix_records(path: Path) -> list[dict]:
+    """The records of a ``matrix.jsonl`` file; a line that is not a complete
+    cell or aggregate record is a ``ConfigError`` naming its file and line."""
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{path}:{lineno}: record is not a JSON object")
+        kinds = _AGGREGATE_FIELDS if "aggregate" in rec else _CELL_FIELDS
+        bad = [k for k, kind in kinds.items() if not isinstance(rec.get(k), kind)]
+        if bad:
+            raise ConfigError(f"{path}:{lineno}: record lacks or mistypes {', '.join(bad)}")
+        records.append(rec)
+    return records
+
+
 def cmd_report(args) -> int:
     path = Path(args.matrix)
-    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+    records = _matrix_records(path)
     cell_recs = [r for r in records if "aggregate" not in r]
     agg_recs = {r["aggregate"]: r for r in records if "aggregate" in r}
     if not cell_recs:
         raise ConfigError(f"{path} holds no evaluation cells")
-    cols = ["train", "test", "accuracy", "precision", "recall", "f1", "auc"]
+    cols = ["train", "test", *_METRICS]
     widths = [max(len(c), 10) for c in cols]
     print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for r in cell_recs:
-        row = [r["train_id"], r["test_id"]] + [
-            f"{r[c]:.4f}" for c in ("accuracy", "precision", "recall", "f1", "auc")
-        ]
+        row = [r["train_id"], r["test_id"]] + [f"{r[c]:.4f}" for c in _METRICS]
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     for key in ("sd_avg", "cd_avg"):
         if key in agg_recs:

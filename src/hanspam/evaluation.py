@@ -235,6 +235,9 @@ def aggregate_matrix(dataset_ids: Sequence[str], cells: dict[tuple[str, str], Ev
     return EvalMatrix(ids, cells, aggregate(diag), aggregate(off))
 
 
+DIAGONAL_PROTOCOLS = ("cv", "groups_as_folds", "original_split")
+
+
 @dataclass
 class DatasetSpec:
     """One corpus plus its same-dataset evaluation protocol.
@@ -253,7 +256,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.intp)
-        if self.diagonal not in ("cv", "groups_as_folds", "original_split"):
+        if self.diagonal not in DIAGONAL_PROTOCOLS:
             raise ValueError(f"unknown diagonal protocol {self.diagonal!r}")
         if self.diagonal != "cv" and not self.groups:
             raise ValueError(f"{self.name}: diagonal {self.diagonal!r} needs groups")

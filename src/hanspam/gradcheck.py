@@ -115,6 +115,7 @@ def check_elementwise() -> float:
         lambda: _weighted(ad.tsum(a, axis=1), _rng(29)),
         lambda: _weighted(ad.reshape(a, (4, 3)), _rng(30)),
         lambda: _weighted(ad.take_rows(a, [2, 0, 1, 1]), _rng(31)),
+        lambda: _weighted(ad.take_rows(a, [[2, 0], [1, 2], [2, 2]]), _rng(32)),
         lambda: _weighted(ad.log(ad.add(ad.sigmoid(a), 0.5)), _rng(33)),
     ):
         worst = max(worst, check_scalar_fn(build, [a, b, row]))
@@ -197,11 +198,12 @@ def check_embedding_lookup() -> float:
     build = lambda: _weighted(
         ad.embedding_lookup(words, buckets, ids, w, bidx, offs), _rng(61)
     )
-    # the same positions time-major, [2 steps, 2 rows]
-    build_tm = lambda: _weighted(
-        ad.embedding_lookup(words, buckets, ids.reshape(2, 2), w.reshape(2, 2), bidx, offs), _rng(62)
+    # as in the model: gathered by [2 steps, 3 rows] positions that repeat tokens
+    positions = [[1, 3, 1], [0, 3, 2]]
+    build_repeated = lambda: _weighted(
+        ad.take_rows(ad.embedding_lookup(words, buckets, ids, w, bidx, offs), positions), _rng(62)
     )
-    return max(check_scalar_fn(b, [words, buckets]) for b in (build, build_tm))
+    return max(check_scalar_fn(b, [words, buckets]) for b in (build, build_repeated))
 
 
 def _toy_gru(rng, in_dim, hidden):

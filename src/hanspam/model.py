@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .vocab import EmbeddingTable, EncodedDocument, Vocabulary
+from .vocab import PAD, UNK, EmbeddingTable, EncodedDocument, Vocabulary
 
 VARIANTS = ("none", "cnn", "tcn")
 
@@ -262,15 +262,16 @@ def tcn_stack(
 
 @dataclass
 class Batch:
-    """Padded, masked, model-ready arrays for a group of documents."""
+    """Padded, masked, model-ready arrays for a group of documents; each
+    distinct ``(word id, bucket ids)`` token is listed once, padding first."""
 
     labels: np.ndarray  # [B]
     sent_mask: np.ndarray  # [B, S] bool
     tok_mask: np.ndarray  # [B*S, T] bool
-    word_ids: np.ndarray  # [B*S, T]
-    word_w: np.ndarray  # [B*S, T]
-    bucket_flat: np.ndarray  # concatenated bucket ids, time-major: position t*B*S + row
-    bucket_offs: np.ndarray  # CSR offsets into bucket_flat, length T*B*S+1
+    tokens: np.ndarray  # [B*S, T] index into the distinct tokens; 0 is padding
+    token_words: np.ndarray  # [n] word id per distinct token
+    token_buckets: np.ndarray  # the distinct tokens' bucket ids, concatenated
+    token_offs: np.ndarray  # CSR offsets into token_buckets, length n+1
     doc_ids: list[str] = field(default_factory=list)
 
     @property
@@ -299,33 +300,27 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
     labels = np.array([d.label for d in docs], dtype=np.intp)
     sent_mask = np.zeros((b, s), dtype=bool)
     tok_mask = np.zeros((b * s, t), dtype=bool)
-    word_ids = np.zeros((b * s, t), dtype=np.intp)
-    word_w = np.zeros((b * s, t))
-    buckets: list[tuple[int, ...]] = [()] * (t * b * s)  # time-major positions
+    tokens = np.zeros((b * s, t), dtype=np.intp)
+    index: dict[tuple[int, tuple[int, ...]], int] = {(PAD, ()): 0}
 
     for di, doc in enumerate(docs):
         for si in range(doc.n_sentences):
             row = di * s + si
-            ids = doc.word_ids[si]
-            n_tok = len(ids)
+            keys = list(zip(doc.word_ids[si].tolist(), doc.bucket_ids[si]))
             sent_mask[di, si] = True
-            tok_mask[row, :n_tok] = True
-            word_ids[row, :n_tok] = ids
-            word_w[row, :n_tok] = doc.word_weight[si]
-            buckets[row : n_tok * b * s : b * s] = doc.bucket_ids[si]
+            tok_mask[row, : len(keys)] = True
+            tokens[row, : len(keys)] = [index.setdefault(k, len(index)) for k in keys]
 
-    counts = np.fromiter(map(len, buckets), dtype=np.intp, count=len(buckets))
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    flat = np.fromiter(itertools.chain.from_iterable(buckets), dtype=np.intp, count=offs[-1])
-
+    words, buckets = zip(*index)  # in order of first appearance
+    offs = np.cumsum([0, *map(len, buckets)])
     return Batch(
         labels=labels,
         sent_mask=sent_mask,
         tok_mask=tok_mask,
-        word_ids=word_ids,
-        word_w=word_w,
-        bucket_flat=flat,
-        bucket_offs=offs,
+        tokens=tokens,
+        token_words=np.array(words, dtype=np.intp),
+        token_buckets=np.fromiter(itertools.chain.from_iterable(buckets), dtype=np.intp, count=offs[-1]),
+        token_offs=offs,
         doc_ids=[d.doc_id for d in docs],
     )
 
@@ -433,16 +428,18 @@ class HanModel:
     # --- forward -------------------------------------------------------------
 
     def _embed(self, batch: Batch) -> Tensor:
-        """Token vectors ``[T, rows, embed]``; padded positions are exact zeros,
-        so convolution windows read zero padding there."""
-        return ad.embedding_lookup(
+        """Token vectors ``[T, rows, embed]``: each distinct token composed
+        once, then gathered by position. Padded positions are exact zeros, so
+        convolution windows read zero padding there."""
+        vectors = ad.embedding_lookup(
             self.params["embed.word"],
             self.params["embed.bucket"],
-            batch.word_ids.T,
-            batch.word_w.T,
-            batch.bucket_flat,
-            batch.bucket_offs,
+            batch.token_words,
+            batch.token_words > UNK,  # PAD and UNK have no word row; OOV tokens are buckets alone
+            batch.token_buckets,
+            batch.token_offs,
         )
+        return ad.take_rows(vectors, batch.tokens.T)
 
     def forward_batch(
         self, batch: Batch, training: bool = False, step: int = 0

@@ -76,24 +76,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.token_to_index.get(token, UNK)
 
-    def dump(self, path: str | Path) -> None:
-        lines = [
-            f"{tok}\t{idx}\t{self.freqs[idx]}"
-            for idx, tok in enumerate(self.index_to_token)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_dump(cls, path: str | Path) -> "Vocabulary":
-        tokens, freqs = [], []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            tok, idx, freq = line.split("\t")
-            if int(idx) < 2:
-                continue
-            tokens.append(tok)
-            freqs.append(int(freq))
-        return cls(tokens, freqs)
-
 
 def build_vocab(documents: Iterable[EmailDocument], min_count: int = 2) -> Vocabulary:
     """Count tokens over training documents and keep those above threshold."""
@@ -171,16 +153,6 @@ class EmbeddingTable:
             )
             self._gram_cache[token] = ids
         return ids
-
-    def embed_token(self, token: str) -> np.ndarray:
-        """Plain numpy composition of one token's vector (no tape recording)."""
-        if not token:
-            return np.zeros(self.dim)
-        ids = self.bucket_ids(token)
-        vec = self.bucket.data[list(ids)].mean(axis=0)
-        if token in self.vocab:
-            vec = vec + self.word.data[self.vocab.lookup(token)]
-        return vec
 
 
 def load_pretrained(

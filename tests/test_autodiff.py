@@ -167,7 +167,7 @@ class TestDilatedConv:
         # out[s] = sum_i x[s - d*i] @ f[i] over x padded with `left` zeros before
         # and enough after; rows > 1, cin != cout, spans longer than the input
         if one_position_blocks:
-            monkeypatch.setattr(ad, "_CONV_TEMP_ELEMS", 1)
+            monkeypatch.setattr(ad, "_TEMP_ELEMS", 1)
         rng = np.random.default_rng(21)
         for n, k, d in ((7, 3, 2), (6, 2, 1), (3, 4, 1), (2, 3, 2), (5, 1, 3)):
             span = (k - 1) * d
@@ -342,3 +342,51 @@ class TestElementwise:
             for r in idx:
                 expected[r] += weight[0]
         assert np.array_equal(table.grad, expected)
+
+    def test_take_rows_with_a_2d_index(self):
+        table = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+        idx = np.array([[1, 3], [1, 0], [3, 3]])
+        with Tape() as tape:
+            rows = ad.take_rows(table, idx.T)  # a transposed view, as the model passes
+            loss = ad.tsum(rows)
+        tape.backward(loss)
+        assert np.array_equal(rows.data, table.data[idx.T])
+        assert np.array_equal(table.grad, np.repeat([[1.0], [2.0], [0.0], [3.0]], 3, axis=1))
+
+
+class TestEmbeddingLookup:
+    @staticmethod
+    def _tokens(rng, n, dim):
+        words = rng.uniform(-1, 1, (9, dim))
+        buckets = rng.uniform(-1, 1, (13, dim))
+        counts = rng.integers(0, 7, n)
+        counts[0] = 0  # padding: no buckets, zero weight
+        ids, weight = rng.integers(0, 9, n), (rng.random(n) < 0.7).astype(float)
+        weight[0] = 0.0
+        return words, buckets, ids, weight, rng.integers(0, 13, counts.sum()), np.r_[0, np.cumsum(counts)]
+
+    @pytest.mark.parametrize("budget", ["one element", "three rows", "default"])
+    def test_blocks_match_one_block(self, budget, monkeypatch):
+        rng = np.random.default_rng(8)
+        dim = 5
+        words, buckets, *lists = self._tokens(rng, 11, dim)
+        seen = weights = None
+        for elems in (2**40, {"one element": 1, "three rows": 3 * dim, "default": ad._TEMP_ELEMS}[budget]):
+            monkeypatch.setattr(ad, "_TEMP_ELEMS", elems)
+            w, b = Tensor(words, requires_grad=True), Tensor(buckets, requires_grad=True)
+            with Tape() as tape:
+                out = ad.embedding_lookup(w, b, *lists)
+                weights = rng.uniform(-1, 1, out.shape) if weights is None else weights
+                loss = ad.tsum(ad.mul(out, weights))
+            tape.backward(loss)
+            if seen is None:
+                seen = (out.data, w.grad, b.grad)
+                assert np.all(out.data[0] == 0.0)
+            else:
+                for got, want in zip((out.data, w.grad, b.grad), seen):
+                    assert np.array_equal(got, want)
+
+    def test_rejects_time_major_ids(self):
+        words, buckets = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))
+        with pytest.raises(ShapeError, match="embedding_lookup"):
+            ad.embedding_lookup(words, buckets, [[0, 1], [2, 1]], [[1.0] * 2] * 2, [0, 1], [0, 0, 1, 1, 2])

@@ -206,6 +206,14 @@ class TestCross:
         assert err.startswith("error: dataset 'enron'") and '"path"' in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_unknown_diagonal_is_input_error(self, tmp_path, corpus_dir, capsys):
+        datasets = {"enron": {"path": str(corpus_dir), "diagonal": "bogus"}}
+        cfg = write_config(tmp_path / "cfg.json", datasets=datasets)
+        assert main(["cross", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'enron' has unknown diagonal protocol 'bogus'")
+        assert len(err.strip().splitlines()) == 1
+
 
 def _with_header(edit, drop=None):
     """Checkpoint corrupter: rewrite the JSON header with ``edit``, and cut the
@@ -321,6 +329,32 @@ class TestReport:
         assert rc == EXIT_OK
         printed = capsys.readouterr().out
         assert "SD_AVG" in printed and "0.8500" in printed
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"foo": 1}', "record lacks or mistypes train_id, test_id, accuracy"),
+            ("[1, 2]", "record is not a JSON object"),
+            ('{"train_id": "a", "test_id": "b", "accuracy": 0.9, "precision": 0.8, "recall": 0.7, "f1": 0.7}',
+             "record lacks or mistypes auc"),
+            ('{"aggregate": "sd_avg", "mean": 0.9}', "record lacks or mistypes stddev"),
+            ('{"train_id": 3, "test_id": "b", "accuracy": null, "precision": 0.8, "recall": 0.7, '
+             '"f1": 0.7, "auc": 0.5}', "record lacks or mistypes train_id, accuracy"),
+            ("{not json", "not JSON"),
+        ],
+        ids=["foreign_record", "not_object", "cell_without_auc", "aggregate_without_stddev", "mistyped", "not_json"],
+    )
+    def test_malformed_record_is_input_error(self, tmp_path, capsys, bad, message):
+        good = {"train_id": "a", "test_id": "a", "accuracy": 0.9, "precision": 0.8,
+                "recall": 0.7, "f1": 0.75, "auc": 0.85}
+        path = tmp_path / "matrix.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        rc = main(["report", "--matrix", str(path)])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing printed before the file is known to be whole
+        assert captured.err.startswith(f"error: {path}:2: {message}")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestGradcheckCommand:

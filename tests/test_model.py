@@ -19,7 +19,7 @@ from hanspam.model import (
     tcn_stack,
 )
 from hanspam.training import cross_entropy
-from hanspam.vocab import encode_document
+from hanspam.vocab import PAD, encode_document
 
 
 def zero_gates(in_dim, hidden):
@@ -614,55 +614,74 @@ class TestBackward:
             assert np.any(p.grad != 0.0), name
 
 
-class TestTimeMajorEmbedding:
+def reference_embedding(word, bucket, doc, si, t):
+    """One position's vector composed on its own: ``weight * word_row`` plus each
+    bucket row scaled by 1/count, added one at a time in the token's bucket order."""
+    vec = doc.word_weight[si][t] * word[doc.word_ids[si][t]]
+    buckets = doc.bucket_ids[si][t]
+    for b in buckets:
+        vec = vec + (1.0 / len(buckets)) * bucket[b]
+    return vec
+
+
+class TestBatchEmbedding:
     def _batch(self, model):
         docs = [
-            EmailDocument(label=1, sentences=[["alpha", "unseen", "beta"], ["gamma"]]),
-            EmailDocument(label=0, sentences=[["delta", "alpha"]]),
+            EmailDocument(label=1, sentences=[["alpha", "unseen", "beta"], ["gamma", "alpha"]]),
+            EmailDocument(label=0, sentences=[["delta", "alpha"], ["unseen"], ["beta", "beta", "gamma"]]),
         ]
         encoded = [encode_document(d, model.vocab, model.table) for d in docs]
         return collate(encoded), encoded
 
-    def test_one_bucket_csr_over_time_major_positions(self):
-        batch, encoded = self._batch(small_model())
-        rows = batch.word_ids.shape[0]
-        assert batch.bucket_offs.shape == (batch.n_tokens * rows + 1,)
-        offs = batch.bucket_offs
-        owned = lambda t, row: tuple(batch.bucket_flat[offs[t * rows + row] : offs[t * rows + row + 1]])
-        for di, doc in enumerate(encoded):
-            for si, buckets in enumerate(doc.bucket_ids):
-                for t, expected in enumerate(buckets):
-                    assert owned(t, di * batch.n_sentences + si) == tuple(expected)
-        for row, t in zip(*np.nonzero(~batch.tok_mask)):
-            assert owned(t, row) == ()
-
-    def test_matches_per_step_lookups_and_skips_padding(self):
+    def test_matches_per_position_reference(self):
         model = small_model()
-        batch, _ = self._batch(model)
+        batch, encoded = self._batch(model)
+        word, bucket = model.params["embed.word"].data, model.params["embed.bucket"].data
+        x = model._embed(batch)
+        assert x.shape == (batch.n_tokens, batch.tok_mask.shape[0], model.config.embed_dim)
+        for di, doc in enumerate(encoded):
+            for si, ids in enumerate(doc.word_ids):
+                for t in range(len(ids)):
+                    expected = reference_embedding(word, bucket, doc, si, t)
+                    assert np.array_equal(x.data[t, di * batch.n_sentences + si], expected)
+
+    def test_padding_is_zero_and_sends_no_gradient(self):
+        model = small_model()
+        batch, encoded = self._batch(model)
         word, bucket = model.params["embed.word"], model.params["embed.bucket"]
-        rows = batch.word_ids.shape[0]
         for table in (word, bucket):
             table.zero_grad()
         with ad.Tape() as tape:
-            x = ad.embedding_lookup(
-                word, bucket, batch.word_ids.T, batch.word_w.T, batch.bucket_flat, batch.bucket_offs
-            )
-            loss = ad.tsum(x)
+            x = model._embed(batch)
+            loss = ad.tsum(x)  # padding positions get a gradient of one, like real ones
         tape.backward(loss)
-        assert x.shape == (batch.n_tokens, rows, model.config.embed_dim)
-        for t in range(batch.n_tokens):
-            offs = batch.bucket_offs[t * rows : (t + 1) * rows + 1]
-            step = ad.embedding_lookup(
-                word, bucket, batch.word_ids[:, t], batch.word_w[:, t],
-                batch.bucket_flat[offs[0] : offs[-1]], offs - offs[0],
-            )
-            assert np.array_equal(x.data[t], step.data)
         assert np.all(x.data[~batch.tok_mask.T] == 0.0)
-        # padding rows use word id 0 with weight 0: no gradient may reach them
-        # through padding, so the row's gradient counts only real occurrences
-        real = batch.tok_mask & (batch.word_w > 0)
-        uses = np.bincount(batch.word_ids[real], minlength=word.shape[0])
-        assert np.array_equal(word.grad, np.repeat(uses[:, None], word.shape[1], axis=1).astype(float))
+        # the tables' gradients count only real positions
+        word_uses, bucket_uses = np.zeros(word.shape[0]), np.zeros(bucket.shape[0])
+        for doc in encoded:
+            for ids, weights, buckets in zip(doc.word_ids, doc.word_weight, doc.bucket_ids):
+                np.add.at(word_uses, ids, weights)
+                for owned in buckets:
+                    np.add.at(bucket_uses, list(owned), 1.0 / len(owned))
+        assert np.array_equal(word.grad, np.repeat(word_uses[:, None], word.shape[1], axis=1))
+        assert np.allclose(bucket.grad, bucket_uses[:, None], rtol=0, atol=1e-14)
+
+    def test_collate_lists_each_distinct_token_once(self):
+        batch, encoded = self._batch(small_model())
+        listed = [
+            (int(w), tuple(batch.token_buckets[lo:hi].tolist()))
+            for w, lo, hi in zip(batch.token_words, batch.token_offs[:-1], batch.token_offs[1:])
+        ]
+        assert listed[0] == (PAD, ())
+        assert len(set(listed)) == len(listed)
+        seen = set()
+        for di, doc in enumerate(encoded):
+            for si, (ids, buckets) in enumerate(zip(doc.word_ids, doc.bucket_ids)):
+                row = batch.tokens[di * batch.n_sentences + si]
+                assert [listed[i] for i in row[: len(ids)]] == list(zip(ids.tolist(), buckets))
+                seen.update(row[: len(ids)].tolist())
+        assert np.all(batch.tokens[~batch.tok_mask] == 0)
+        assert seen == set(range(1, len(listed)))  # every entry but padding is used
 
 
 class TestConfig:

@@ -16,7 +16,7 @@ from hanspam.training import (
     make_batches,
     train,
 )
-from hanspam.vocab import build_vocab, encode_document
+from hanspam.vocab import PAD, build_vocab, encode_document
 
 
 class TestCrossEntropy:
@@ -159,7 +159,8 @@ class TestMakeBatches:
         assert batch.n_tokens == 3
         assert batch.sent_mask.tolist() == [[True, True, False], [True, True, True]]
         assert batch.tok_mask[2].tolist() == [False, False, False]  # padded sentence row
-        assert batch.word_ids[2].tolist() == [0, 0, 0]
+        assert batch.tokens[2].tolist() == [0, 0, 0]  # the padding token: PAD word, no buckets
+        assert batch.token_words[0] == PAD and batch.token_offs[:2].tolist() == [0, 0]
 
 
 class TestTrain:

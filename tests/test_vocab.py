@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hanspam import autodiff as ad
 from hanspam.ingest import EmailDocument
 from hanspam.vocab import (
     PAD,
@@ -10,7 +11,6 @@ from hanspam.vocab import (
     EmbeddingTable,
     PretrainedFormatError,
     VocabError,
-    Vocabulary,
     build_vocab,
     char_ngrams,
     encode_document,
@@ -21,6 +21,14 @@ from hanspam.vocab import (
 
 def doc(*sentences, label=0):
     return EmailDocument(label=label, sentences=[s.split() for s in sentences])
+
+
+def compose(table, token):
+    """``token``'s vector as the model composes it, through ``embedding_lookup``:
+    only in-vocabulary tokens add their word row."""
+    word, buckets = table.vocab.lookup(token), table.bucket_ids(token)
+    vec = ad.embedding_lookup(table.word, table.bucket, [word], [word > UNK], buckets, [0, len(buckets)])
+    return vec.data[0]
 
 
 class TestBuildVocab:
@@ -52,15 +60,6 @@ class TestBuildVocab:
         with pytest.raises(VocabError):
             build_vocab([], min_count=1)
 
-    def test_dump_roundtrip(self, tmp_path):
-        vocab = build_vocab([doc("a a b b b")], min_count=1)
-        path = tmp_path / "vocab.tsv"
-        vocab.dump(path)
-        lines = path.read_text().splitlines()
-        assert lines[2] == "b\t2\t3"
-        back = Vocabulary.from_dump(path)
-        assert back.index_to_token == vocab.index_to_token
-
 
 class TestNgrams:
     def test_hand_enumeration(self):
@@ -85,26 +84,26 @@ def table():
 
 class TestEmbedToken:
     def test_pad_is_zero(self, table):
-        assert np.array_equal(table.embed_token(""), np.zeros(8))
+        assert np.array_equal(compose(table, ""), np.zeros(8))
 
     def test_oov_deterministic_nonzero(self, table):
-        first = table.embed_token("zzz")
-        second = table.embed_token("zzz")
+        first = compose(table, "zzz")
+        second = compose(table, "zzz")
         assert np.array_equal(first, second)
         assert np.any(first != 0)
 
     def test_in_vocab_is_word_row_plus_gram_mean(self, table):
         ids = [fnv1a64(g.encode()) % 13 for g in ("<ab", "ab>", "<ab>")]
         expected = table.bucket.data[ids].mean(axis=0) + table.word.data[table.vocab.lookup("ab")]
-        assert np.allclose(table.embed_token("ab"), expected)
+        assert np.allclose(compose(table, "ab"), expected)
 
     def test_oov_is_gram_mean_alone(self, table):
         ids = [fnv1a64(g.encode()) % 13 for g in char_ngrams("zzz", 3, 3)]
-        assert np.allclose(table.embed_token("zzz"), table.bucket.data[ids].mean(axis=0))
+        assert np.allclose(compose(table, "zzz"), table.bucket.data[ids].mean(axis=0))
 
     def test_repeated_calls_bitwise_equal(self, table):
-        a = table.embed_token("cd")
-        b = table.embed_token("cd")
+        a = compose(table, "cd")
+        b = compose(table, "cd")
         assert a.tobytes() == b.tobytes()
 
 
@@ -146,7 +145,7 @@ class TestLoadPretrained:
         table, report = load_pretrained(path, vocab, dim=4, n_min=3, n_max=3, buckets=11)
         assert report.misses == 1
         ids = [fnv1a64(g.encode()) % 11 for g in char_ngrams("xy", 3, 3)]
-        assert np.allclose(table.embed_token("xy"), table.bucket.data[ids].mean(axis=0))
+        assert np.allclose(compose(table, "xy"), table.bucket.data[ids].mean(axis=0))
 
 
 class TestEncodeDocument:
