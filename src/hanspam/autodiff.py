@@ -31,10 +31,8 @@ __all__ = [
     "sigmoid",
     "relu",
     "log",
-    "clip",
     "concat",
     "stack",
-    "unstack",
     "reshape",
     "transpose",
     "take_rows",
@@ -362,16 +360,6 @@ def log(x, clamp_min: float = 0.0) -> Tensor:
     return _record((x,), y, rule)
 
 
-def clip(x, lo: float, hi: float) -> Tensor:
-    x = _wrap(x)
-    y = np.clip(x.data, lo, hi)
-
-    def rule(g):
-        return (g * ((x.data >= lo) & (x.data <= hi)),)
-
-    return _record((x,), y, rule)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(_wrap(t) for t in tensors)
     if not parts:
@@ -400,23 +388,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.moveaxis(g, axis, 0))
 
     return _record(parts, out, rule)
-
-
-def unstack(x) -> list[Tensor]:
-    """Split a tensor into its slices along axis 0, one recorded entry each.
-
-    Each slice's gradient goes back as a sparse part, so the parts of all
-    slices are summed into one array once instead of once per slice.
-    """
-    x = _wrap(x)
-
-    def take(t):
-        def rule(g):
-            return (SparseRows(np.array([t]), g[None], x.shape),)
-
-        return _record((x,), x.data[t], rule)
-
-    return [take(t) for t in range(x.shape[0])]
 
 
 def reshape(x, shape) -> Tensor:
@@ -479,13 +450,11 @@ def tmean(x, axis: int | None = None) -> Tensor:
     return _record((x,), out, rule)
 
 
-def masked_softmax(scores, mask=None, empty: str = "error") -> Tensor:
+def masked_softmax(scores, mask=None) -> Tensor:
     """Exp-normalize over valid positions; masked-out positions are exactly zero.
 
     Works on a vector or row-wise on a matrix. A row with no valid position
-    raises ``EmptyAttentionError`` unless ``empty='zero'``, which yields an
-    all-zero row (used internally for padding-only rows that downstream masks
-    discard).
+    raises ``EmptyAttentionError``.
     """
     x = _wrap(scores)
     if mask is None:
@@ -496,21 +465,14 @@ def masked_softmax(scores, mask=None, empty: str = "error") -> Tensor:
             raise ShapeError(f"mask shape {m.shape} != scores shape {x.shape}")
     if x.ndim not in (1, 2):
         raise ShapeError(f"masked_softmax expects a vector or matrix, got {x.shape}")
-    if empty not in ("error", "zero"):
-        raise ParameterError(f"unknown empty mode {empty!r}")
-
-    rowwise = x.ndim == 2
-    valid_any = m.any(axis=-1)
-    if not np.all(valid_any) and empty == "error":
+    if not np.all(m.any(axis=-1)):
         raise EmptyAttentionError("softmax over a mask with no valid positions")
 
+    rowwise = x.ndim == 2
     neg = np.where(m, x.data, -np.inf)
     mx = neg.max(axis=-1, keepdims=True) if rowwise else neg.max()
-    mx = np.where(np.isfinite(mx), mx, 0.0)
     e = np.where(m, np.exp(neg - mx), 0.0)
-    z = e.sum(axis=-1, keepdims=rowwise)
-    zsafe = np.where(z == 0.0, 1.0, z)
-    y = e / zsafe
+    y = e / e.sum(axis=-1, keepdims=rowwise)
 
     def rule(g):
         dot = (g * y).sum(axis=-1, keepdims=rowwise)

@@ -8,11 +8,12 @@ vectors into a document vector feeding a two-class softmax head.
 
 Batched forwards are time-major. Each level carries one ``[steps, rows, dim]``
 tensor: words from the embedding lookup through the convolutional stack, the
-word BiGRU and word attention, and sentences, regrouped from the pooled
-sentence rows, through the sentence BiGRU and attention. Every convolution is
-``autodiff.dilated_conv1d``; only a GRU's state update runs step by step. The
-whole model composes from differentiable primitives, so every part stays
-gradient-checkable.
+word BiGRU and word attention, with one row per real sentence of the batch;
+then sentences, gathered from those rows into ``[S, docs, dim]`` with padding
+slots reading a zero row, through the sentence BiGRU and attention. Every
+convolution is ``autodiff.dilated_conv1d``; only a GRU's state update runs
+step by step. The whole model composes from differentiable primitives, so
+every part stays gradient-checkable.
 """
 
 from __future__ import annotations
@@ -168,15 +169,15 @@ def bigru_encode(
     def run(g: GruParams, order) -> Tensor:
         hidden = g.u_z.shape[0]
         xz, xr, xh = (
-            ad.unstack(ad.reshape(flat @ w + b, (steps, rows, hidden)))
+            ad.reshape(flat @ w + b, (steps, rows, hidden))
             for w, b in ((g.w_z, g.b_z), (g.w_r, g.b_r), (g.w_h, g.b_h))
         )
         h = Tensor(np.zeros((rows, hidden)))
         states: list[Tensor | None] = [None] * steps
         for t in order:
-            z = ad.sigmoid(xz[t] + h @ g.u_z)
-            r = ad.sigmoid(xr[t] + h @ g.u_r)
-            cand = ad.tanh(xh[t] + ad.mul(r, h) @ g.u_h)
+            z = ad.sigmoid(ad.take_rows(xz, t) + h @ g.u_z)
+            r = ad.sigmoid(ad.take_rows(xr, t) + h @ g.u_r)
+            cand = ad.tanh(ad.take_rows(xh, t) + ad.mul(r, h) @ g.u_h)
             h_new = ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
             if m is not None:
                 keep = m[:, t : t + 1]
@@ -195,12 +196,12 @@ def attention_pool(
     w: Tensor,
     b: Tensor,
     context: Tensor,
-    empty: str = "error",
 ) -> tuple[Tensor, Tensor]:
     """Score each step against a trained context vector and pool by softmax.
 
-    ``annotations`` is ``[steps, rows, dim]`` and ``mask`` ``[rows, steps]``.
-    Returns the pooled rows ``[rows, dim]`` and the attention weight matrix
+    ``annotations`` is ``[steps, rows, dim]`` and ``mask`` ``[rows, steps]``;
+    a row with no valid step raises ``EmptyAttentionError``. Returns the
+    pooled rows ``[rows, dim]`` and the attention weight matrix
     ``[rows, steps]``.
     """
     if annotations.ndim != 3 or annotations.shape[0] < 1:
@@ -208,7 +209,7 @@ def attention_pool(
     steps, rows, dim = annotations.shape
     flat = ad.reshape(annotations, (steps * rows, dim))
     scores = ad.reshape(ad.tanh(flat @ w + b) @ context, (steps, rows))
-    alpha = ad.masked_softmax(ad.transpose(scores, (1, 0)), mask, empty=empty)
+    alpha = ad.masked_softmax(ad.transpose(scores, (1, 0)), mask)
     weights = ad.reshape(ad.transpose(alpha, (1, 0)), (steps, rows, 1))
     return ad.tsum(ad.mul(weights, annotations), axis=0), alpha
 
@@ -262,17 +263,27 @@ def tcn_stack(
 
 @dataclass
 class Batch:
-    """Padded, masked, model-ready arrays for a group of documents; each
-    distinct ``(word id, bucket ids)`` token is listed once, padding first."""
+    """Model-ready arrays for a group of documents. Each real sentence is one
+    row of ``tokens``, in document-major order, and each distinct
+    ``(word id, bucket ids)`` token is listed once, padding first."""
 
     labels: np.ndarray  # [B]
-    sent_mask: np.ndarray  # [B, S] bool
-    tok_mask: np.ndarray  # [B*S, T] bool
-    tokens: np.ndarray  # [B*S, T] index into the distinct tokens; 0 is padding
-    token_words: np.ndarray  # [n] word id per distinct token
+    sent_rows: np.ndarray  # [B, S] row of tokens per sentence slot; n for a padding slot
+    tokens: np.ndarray  # [n, T] index into the distinct tokens; 0 is padding
+    token_words: np.ndarray  # word id per distinct token
     token_buckets: np.ndarray  # the distinct tokens' bucket ids, concatenated
-    token_offs: np.ndarray  # CSR offsets into token_buckets, length n+1
+    token_offs: np.ndarray  # CSR offsets into token_buckets, one more than the distinct tokens
     doc_ids: list[str] = field(default_factory=list)
+
+    @property
+    def sent_mask(self) -> np.ndarray:
+        """``[B, S]``: which sentence slots hold a sentence."""
+        return self.sent_rows < self.tokens.shape[0]
+
+    @property
+    def tok_mask(self) -> np.ndarray:
+        """``[n, T]``: which token slots hold a token (entry 0 is only ever padding)."""
+        return self.tokens != 0
 
     @property
     def n_docs(self) -> int:
@@ -280,11 +291,11 @@ class Batch:
 
     @property
     def n_sentences(self) -> int:
-        return self.sent_mask.shape[1]
+        return self.sent_rows.shape[1]
 
     @property
     def n_tokens(self) -> int:
-        return self.tok_mask.shape[1]
+        return self.tokens.shape[1]
 
 
 def collate(docs: Sequence[EncodedDocument]) -> Batch:
@@ -293,30 +304,31 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
     for doc in docs:
         if doc.n_sentences == 0:
             raise ValueError(f"document {doc.doc_id!r} is empty")
-    b = len(docs)
+        for si, ids in enumerate(doc.word_ids):
+            if len(ids) == 0:
+                raise ValueError(f"document {doc.doc_id!r} has no tokens in sentence {si}")
+    n = sum(d.n_sentences for d in docs)
     s = max(d.n_sentences for d in docs)
     t = max(len(ids) for d in docs for ids in d.word_ids)
 
     labels = np.array([d.label for d in docs], dtype=np.intp)
-    sent_mask = np.zeros((b, s), dtype=bool)
-    tok_mask = np.zeros((b * s, t), dtype=bool)
-    tokens = np.zeros((b * s, t), dtype=np.intp)
+    sent_rows = np.full((len(docs), s), n, dtype=np.intp)
+    tokens = np.zeros((n, t), dtype=np.intp)
     index: dict[tuple[int, tuple[int, ...]], int] = {(PAD, ()): 0}
 
+    row = 0
     for di, doc in enumerate(docs):
         for si in range(doc.n_sentences):
-            row = di * s + si
             keys = list(zip(doc.word_ids[si].tolist(), doc.bucket_ids[si]))
-            sent_mask[di, si] = True
-            tok_mask[row, : len(keys)] = True
+            sent_rows[di, si] = row
             tokens[row, : len(keys)] = [index.setdefault(k, len(index)) for k in keys]
+            row += 1
 
     words, buckets = zip(*index)  # in order of first appearance
     offs = np.cumsum([0, *map(len, buckets)])
     return Batch(
         labels=labels,
-        sent_mask=sent_mask,
-        tok_mask=tok_mask,
+        sent_rows=sent_rows,
         tokens=tokens,
         token_words=np.array(words, dtype=np.intp),
         token_buckets=np.fromiter(itertools.chain.from_iterable(buckets), dtype=np.intp, count=offs[-1]),
@@ -444,7 +456,11 @@ class HanModel:
     def forward_batch(
         self, batch: Batch, training: bool = False, step: int = 0
     ) -> tuple[Tensor, Tensor, Tensor]:
-        """Class probabilities ``[docs x 2]`` plus word/sentence attention maps."""
+        """Class probabilities ``[docs x 2]`` plus word/sentence attention maps.
+
+        Word attention ``alpha_w`` is ``[n, T]``, one row per real sentence in
+        ``batch.tokens`` order; sentence attention ``alpha_s`` is ``[docs, S]``.
+        """
         cfg = self.config
         drop = (
             Dropout(p=cfg.dropout, seed=self.seed, step=step, training=True)
@@ -473,13 +489,12 @@ class HanModel:
             self.params["word_attn.w"],
             self.params["word_attn.b"],
             self.params["word_attn.u"],
-            empty="zero",  # padding-only sentence rows; masked out downstream
         )
 
-        # sentence rows are document-major (row = doc * S + sentence): regroup
-        # them into one time-major [S, B, 2u] sequence
-        b, s = batch.n_docs, batch.n_sentences
-        sent_seq = ad.transpose(ad.reshape(sent_vec, (b, s, sent_vec.shape[1])), (1, 0, 2))
+        # gather the sentence rows into one time-major [S, B, 2u] sequence;
+        # padding slots read the zero row appended after the last sentence
+        pad_row = Tensor(np.zeros((1, sent_vec.shape[1])))
+        sent_seq = ad.take_rows(ad.concat([sent_vec, pad_row]), batch.sent_rows.T)
         sent_ann = bigru_encode(
             sent_seq,
             batch.sent_mask,
@@ -492,7 +507,6 @@ class HanModel:
             self.params["sent_attn.w"],
             self.params["sent_attn.b"],
             self.params["sent_attn.u"],
-            empty="error",
         )
 
         logits = doc_vec @ self.params["head.w"] + self.params["head.b"]

@@ -41,7 +41,7 @@ class TrainConfig:
 
 
 def cross_entropy(probs: Tensor, labels, weights: np.ndarray | None = None) -> Tensor:
-    """Mean negative log-likelihood; probabilities clamped to [1e-12, 1].
+    """Mean negative log-likelihood; probabilities clamped below at 1e-12.
 
     Accepts a single probability vector with an integer label, or a
     ``[docs x 2]`` matrix with a label array. Optional per-document weights
@@ -58,7 +58,7 @@ def cross_entropy(probs: Tensor, labels, weights: np.ndarray | None = None) -> T
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     picked = ad.tsum(ad.mul(probs, onehot), axis=1)
-    logp = ad.log(ad.clip(picked, 1e-12, 1.0), clamp_min=1e-12)
+    logp = ad.log(picked, clamp_min=1e-12)
     if weights is None:
         return ad.mul(ad.tmean(logp), -1.0)
     w = np.asarray(weights, dtype=np.float64)

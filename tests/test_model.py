@@ -40,6 +40,11 @@ def random_gates(rng, in_dim, hidden, scale=0.6):
     )
 
 
+def unstack(x):
+    """Slices of ``x`` along axis 0, each read back by a scalar ``take_rows`` index."""
+    return [ad.take_rows(x, t) for t in range(x.shape[0])]
+
+
 def reference_gru_cell(x, h_prev, gates):
     """One GRU step on ``[rows, in]``, as the per-step model computed it (biases added last)."""
     z = ad.sigmoid(x @ gates.w_z + h_prev @ gates.u_z + gates.b_z)
@@ -183,6 +188,10 @@ class TestAttentionPool:
         w, b, u = self._wbu(rng, 3)
         with pytest.raises(ad.EmptyAttentionError):
             attention_pool(h, np.array([[False]]), w, b, u)
+        # one row without a valid step is enough, whatever the other rows hold
+        h = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
+        with pytest.raises(ad.EmptyAttentionError):
+            attention_pool(h, np.array([[True, True], [False, False], [True, False]]), w, b, u)
 
     def test_weights_sum_to_one_over_unmasked(self):
         rng = np.random.default_rng(8)
@@ -210,7 +219,7 @@ class TestConvStacks:
             "cnn.w1.tap0": Tensor(np.array([[1.0], [0.0], [0.0]])),
             "cnn.w1.bias": Tensor(np.zeros(1)),
         }
-        feats = ad.unstack(conv_feature_stack(ad.stack(seq), params, (1,)))
+        feats = unstack(conv_feature_stack(ad.stack(seq), params, (1,)))
         for t in range(4):
             assert np.allclose(feats[t].data[:, 0], seq[t].data[:, 0])
 
@@ -221,7 +230,7 @@ class TestConvStacks:
             "cnn.w2.tap1": Tensor(np.zeros((3, 2))),
             "cnn.w2.bias": Tensor(np.zeros(2)),
         }
-        feats = ad.unstack(conv_feature_stack(ad.stack(seq), params, (2,)))
+        feats = unstack(conv_feature_stack(ad.stack(seq), params, (2,)))
         assert all(np.array_equal(f.data, np.zeros((2, 2))) for f in feats)
 
     def test_channel_concat_across_windows(self):
@@ -232,7 +241,7 @@ class TestConvStacks:
             for i in range(w):
                 params[f"cnn.w{w}.tap{i}"] = Tensor(rng.uniform(-1, 1, (2, 3)))
             params[f"cnn.w{w}.bias"] = Tensor(np.zeros(3))
-        feats = ad.unstack(conv_feature_stack(ad.stack(seq), params, (1, 2)))
+        feats = unstack(conv_feature_stack(ad.stack(seq), params, (1, 2)))
         assert feats[0].shape == (1, 6)
 
     def test_tcn_identity_block_is_relu_plus_input(self):
@@ -242,7 +251,7 @@ class TestConvStacks:
             "tcn.block0.tap0": Tensor(np.eye(3)),
             "tcn.block0.bias": Tensor(np.zeros(3)),
         }
-        out = ad.unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=1))
+        out = unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=1))
         for t in range(4):
             expected = np.maximum(seq[t].data, 0.0) + seq[t].data
             assert np.allclose(out[t].data, expected)
@@ -255,7 +264,7 @@ class TestConvStacks:
             "tcn.block0.tap1": Tensor(np.zeros((3, 3))),
             "tcn.block0.bias": Tensor(np.zeros(3)),
         }
-        out = ad.unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=2))
+        out = unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=2))
         for t in range(4):
             assert np.allclose(out[t].data, seq[t].data)
 
@@ -270,12 +279,12 @@ class TestConvStacks:
             params[f"tcn.block{lvl}.bias"] = Tensor(rng.uniform(-1, 1, channels))
         base_steps = [rng.uniform(-1, 1, (1, 3)) for _ in range(7)]
         base_out = [
-            o.data.copy() for o in ad.unstack(tcn_stack(Tensor(np.stack(base_steps)), params, levels, kernel))
+            o.data.copy() for o in unstack(tcn_stack(Tensor(np.stack(base_steps)), params, levels, kernel))
         ]
         for t in range(7):
             bumped = [s.copy() for s in base_steps]
             bumped[t] = bumped[t] + 0.37
-            out = ad.unstack(tcn_stack(Tensor(np.stack(bumped)), params, levels, kernel))
+            out = unstack(tcn_stack(Tensor(np.stack(bumped)), params, levels, kernel))
             for s in range(7):
                 if s < t:
                     assert np.array_equal(out[s].data, base_out[s])
@@ -355,7 +364,7 @@ class TestConvStacksMatchPerStepReference:
             params[f"cnn.w{w}.bias"] = Tensor(rng.uniform(-0.5, 0.5, maps), requires_grad=True)
         assert_matches_reference(
             lambda: conv_feature_stack(x, params, windows),
-            lambda: ad.stack(per_step_cnn(ad.unstack(x), params, windows)),
+            lambda: ad.stack(per_step_cnn(unstack(x), params, windows)),
             [x] + list(params.values()),
         )
 
@@ -376,7 +385,7 @@ class TestConvStacksMatchPerStepReference:
                 params[f"tcn.block{lvl}.proj"] = leaf(cin, channels)
         assert_matches_reference(
             lambda: tcn_stack(x, params, levels, kernel),
-            lambda: ad.stack(per_step_tcn(ad.unstack(x), params, levels, kernel)),
+            lambda: ad.stack(per_step_tcn(unstack(x), params, levels, kernel)),
             [x] + list(params.values()),
         )
 
@@ -388,7 +397,7 @@ class TestConvStacksMatchPerStepReference:
         params["cnn.w5.bias"] = Tensor(np.zeros(2), requires_grad=True)
         assert_matches_reference(
             lambda: conv_feature_stack(x, params, (5,)),
-            lambda: ad.stack(per_step_cnn(ad.unstack(x), params, (5,))),
+            lambda: ad.stack(per_step_cnn(unstack(x), params, (5,))),
             [x] + list(params.values()),
         )
 
@@ -411,24 +420,22 @@ def per_step_bigru(seq, mask, fw, bw):
     return [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
 
 
-def per_step_attention(seq, mask, w, b, context, empty):
+def per_step_attention(seq, mask, w, b, context):
     """Reference attention: one score column per step, pooled by a left fold."""
     ctx_col = ad.reshape(context, (context.size, 1))
     scores = ad.concat([ad.tanh(h @ w + b) @ ctx_col for h in seq], axis=1)
-    alpha = ad.masked_softmax(scores, mask, empty=empty)
+    alpha = ad.masked_softmax(scores, mask)
     pooled = None
-    for col, h in zip(ad.unstack(ad.transpose(alpha, (1, 0))), seq):
+    for col, h in zip(unstack(ad.transpose(alpha, (1, 0))), seq):
         term = ad.mul(ad.reshape(col, (h.shape[0], 1)), h)
         pooled = term if pooled is None else ad.add(pooled, term)
     return pooled, alpha
 
 
 def _random_mask(rng, rows, steps):
-    """Random padding with at least one real step per row, except an all-padding row 0 when rows > 1."""
+    """Random padding with at least one real step per row."""
     mask = rng.random((rows, steps)) > 0.4
     mask[:, 0] = True
-    if rows > 1:
-        mask[0] = False
     return mask
 
 
@@ -445,10 +452,13 @@ class TestSequenceOpsMatchPerStepReference:
         gates = list(vars(fw).values()) + list(vars(bw).values())
         for t in gates:
             t.requires_grad = True
-        for mask in (None, _random_mask(rng, rows, steps)):
+        padded = _random_mask(rng, rows, steps)
+        if rows > 1:
+            padded[0] = False  # a row of padding only keeps the zero state
+        for mask in (None, padded):
             assert_matches_reference(
                 lambda: bigru_encode(x, mask, fw, bw),
-                lambda: ad.stack(per_step_bigru(ad.unstack(x), mask, fw, bw)),
+                lambda: ad.stack(per_step_bigru(unstack(x), mask, fw, bw)),
                 [x] + gates,
             )
 
@@ -461,8 +471,8 @@ class TestSequenceOpsMatchPerStepReference:
         x, w, b, u = leaf(steps, rows, dim), leaf(dim, dim), leaf(dim), leaf(dim)
         for mask in (None, _random_mask(rng, rows, steps)):
             assert_matches_reference(
-                lambda: attention_pool(x, mask, w, b, u, empty="zero"),
-                lambda: per_step_attention(ad.unstack(x), mask, w, b, u, empty="zero"),
+                lambda: attention_pool(x, mask, w, b, u),
+                lambda: per_step_attention(unstack(x), mask, w, b, u),
                 [x, w, b, u],
             )
 
@@ -501,11 +511,29 @@ class TestForward:
         ]
         batch = collate([encode_document(d, model.vocab, model.table) for d in docs])
         _, alpha_w, alpha_s = model.forward_batch(batch)
-        word_sums = alpha_w.data.sum(axis=1)
-        real_rows = batch.tok_mask.any(axis=1)
-        assert np.max(np.abs(word_sums[real_rows] - 1.0)) < 1e-12
-        assert np.all(word_sums[~real_rows] == 0.0)
+        assert alpha_w.shape == (3, 3)  # one row per real sentence
+        assert np.max(np.abs(alpha_w.data.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(alpha_w.data[~batch.tok_mask] == 0.0)
         assert np.max(np.abs(alpha_s.data.sum(axis=1) - 1.0)) < 1e-12
+
+    def test_word_level_encodes_only_real_sentences(self, monkeypatch):
+        import hanspam.model as hm
+
+        rows = []
+
+        def recording(x, mask, forward, backward):
+            rows.append(x.shape[1])
+            return bigru_encode(x, mask, forward, backward)
+
+        monkeypatch.setattr(hm, "bigru_encode", recording)
+        model = small_model("cnn")
+        docs = [
+            EmailDocument(label=1, sentences=[["alpha", "beta"], ["gamma"]]),
+            EmailDocument(label=0, sentences=[["delta"], ["alpha"], ["beta", "gamma"], ["unseen"]]),
+        ]
+        encoded = [encode_document(d, model.vocab, model.table) for d in docs]
+        model.forward_batch(collate(encoded))
+        assert rows == [6, 2]  # word level: 2 + 4 sentences; sentence level: 2 documents
 
     @pytest.mark.parametrize("variant", ["none", "cnn", "tcn"])
     def test_padding_invariance(self, variant):
@@ -532,6 +560,21 @@ class TestForward:
         shifted, _, _ = model.forward_batch(batch)
         assert np.argmax(probs.data) == np.argmax(shifted.data)
         assert np.max(np.abs(probs.data - shifted.data)) < 1e-12
+
+    def test_empty_sentence_error_names_document_and_sentence(self):
+        from hanspam.vocab import EncodedDocument
+
+        model = small_model()
+        doc = toy_document(model)
+        hollow = EncodedDocument(
+            label=0,
+            word_ids=[doc.word_ids[0], np.zeros(0, dtype=np.intp)],
+            word_weight=[doc.word_weight[0], np.zeros(0)],
+            bucket_ids=[doc.bucket_ids[0], []],
+            doc_id="msg-4",
+        )
+        with pytest.raises(ValueError, match="'msg-4' has no tokens in sentence 1"):
+            collate([doc, hollow])
 
     def test_empty_document_error_carries_id(self):
         model = small_model()
@@ -643,7 +686,7 @@ class TestBatchEmbedding:
             for si, ids in enumerate(doc.word_ids):
                 for t in range(len(ids)):
                     expected = reference_embedding(word, bucket, doc, si, t)
-                    assert np.array_equal(x.data[t, di * batch.n_sentences + si], expected)
+                    assert np.array_equal(x.data[t, batch.sent_rows[di, si]], expected)
 
     def test_padding_is_zero_and_sends_no_gradient(self):
         model = small_model()
@@ -677,10 +720,10 @@ class TestBatchEmbedding:
         seen = set()
         for di, doc in enumerate(encoded):
             for si, (ids, buckets) in enumerate(zip(doc.word_ids, doc.bucket_ids)):
-                row = batch.tokens[di * batch.n_sentences + si]
+                row = batch.tokens[batch.sent_rows[di, si]]
                 assert [listed[i] for i in row[: len(ids)]] == list(zip(ids.tolist(), buckets))
+                assert not row[len(ids) :].any()  # padding is entry 0
                 seen.update(row[: len(ids)].tolist())
-        assert np.all(batch.tokens[~batch.tok_mask] == 0)
         assert seen == set(range(1, len(listed)))  # every entry but padding is used
 
 

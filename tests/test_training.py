@@ -157,9 +157,14 @@ class TestMakeBatches:
         batch = collate(encoded)
         assert batch.n_sentences == 3
         assert batch.n_tokens == 3
+        # one token row per real sentence; the padding slot points past the last one
+        assert batch.sent_rows.tolist() == [[0, 1, 5], [2, 3, 4]]
         assert batch.sent_mask.tolist() == [[True, True, False], [True, True, True]]
-        assert batch.tok_mask[2].tolist() == [False, False, False]  # padded sentence row
-        assert batch.tokens[2].tolist() == [0, 0, 0]  # the padding token: PAD word, no buckets
+        # token slots past a sentence's end hold entry 0, the padding token: PAD word, no buckets
+        assert batch.tok_mask.tolist() == [
+            [True, True, False], [True, False, False], [True, False, False],
+            [True, True, True], [True, False, False],
+        ]
         assert batch.token_words[0] == PAD and batch.token_offs[:2].tolist() == [0, 0]
 
 
