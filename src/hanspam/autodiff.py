@@ -38,7 +38,7 @@ __all__ = [
     "take_rows",
     "tsum",
     "tmean",
-    "masked_softmax",
+    "softmax",
     "dilated_conv1d",
     "dropout",
     "dropout_mask",
@@ -55,7 +55,7 @@ class ParameterError(ValueError):
 
 
 class EmptyAttentionError(ValueError):
-    """A softmax was requested over a mask with no valid positions."""
+    """A softmax was requested over a row with no valid position."""
 
 
 Array = np.ndarray
@@ -327,7 +327,8 @@ def tanh(x) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def rule(g):
         return (g * y * (1.0 - y),)
@@ -450,40 +451,32 @@ def tmean(x, axis: int | None = None) -> Tensor:
     return _record((x,), out, rule)
 
 
-def masked_softmax(scores, mask=None) -> Tensor:
-    """Exp-normalize over valid positions; masked-out positions are exactly zero.
+def softmax(scores) -> Tensor:
+    """Exp-normalize a vector, or each row of a matrix.
 
-    Works on a vector or row-wise on a matrix. A row with no valid position
-    raises ``EmptyAttentionError``.
+    A ``-inf`` score gets weight exactly 0, so an additive ``-inf`` bias
+    masks a position out. A row whose scores are all ``-inf`` raises
+    ``EmptyAttentionError``.
     """
     x = _wrap(scores)
-    if mask is None:
-        m = np.ones(x.shape, dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != x.shape:
-            raise ShapeError(f"mask shape {m.shape} != scores shape {x.shape}")
     if x.ndim not in (1, 2):
-        raise ShapeError(f"masked_softmax expects a vector or matrix, got {x.shape}")
-    if not np.all(m.any(axis=-1)):
-        raise EmptyAttentionError("softmax over a mask with no valid positions")
-
-    rowwise = x.ndim == 2
-    neg = np.where(m, x.data, -np.inf)
-    mx = neg.max(axis=-1, keepdims=True) if rowwise else neg.max()
-    e = np.where(m, np.exp(neg - mx), 0.0)
-    y = e / e.sum(axis=-1, keepdims=rowwise)
+        raise ShapeError(f"softmax expects a vector or matrix, got {x.shape}")
+    mx = x.data.max(axis=-1, keepdims=True)
+    if np.isneginf(mx).any():
+        raise EmptyAttentionError("softmax over a row with no valid position")
+    e = np.exp(x.data - mx)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        dot = (g * y).sum(axis=-1, keepdims=rowwise)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _record((x,), y, rule)
 
 
-# float64 elements per temporary in dilated_conv1d's matmuls and
-# embedding_lookup's bucket gathers (16 MB): the allocator recycles blocks
-# this small, while larger ones are mapped and zeroed afresh on every call
+# float64 elements per temporary in dilated_conv1d's matmuls (16 MB): the
+# allocator recycles blocks this small, while larger ones are mapped and
+# zeroed afresh on every call
 _TEMP_ELEMS = 2**21
 
 
@@ -586,10 +579,10 @@ def embedding_lookup(
     ``bucket_ids`` and ``bucket_offsets`` are a CSR-style ragged list: token
     ``i`` owns ``bucket_ids[bucket_offsets[i]:bucket_offsets[i+1]]``. Each
     token's scaled bucket rows are added to its word row one at a time, in list
-    order; they are gathered in blocks of at most ``_TEMP_ELEMS`` elements, so
-    the forward never holds all of them at once. A token with no buckets and
-    zero weight (padding) comes out exactly zero and gets no gradient.
-    Gradients reach both tables as sparse row updates.
+    order: pass ``k`` adds the ``k``-th bucket row of every token that has
+    one. A token with no buckets and zero weight (padding) comes out exactly
+    zero and gets no gradient. Gradients reach both tables as sparse row
+    updates.
     """
     ids = np.asarray(word_ids, dtype=np.intp)
     w = np.asarray(word_weight, dtype=np.float64)
@@ -599,21 +592,16 @@ def embedding_lookup(
         raise ShapeError(f"embedding_lookup takes [n] ids and weights and n+1 offsets, got {ids.shape}")
     counts = np.diff(offs)
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    owner = np.repeat(np.arange(ids.size), counts)
 
     out = w[:, None] * word_table.data[ids]
-    block = max(1, _TEMP_ELEMS // word_table.shape[1])  # bucket rows per gather
-    for lo in range(0, bidx.size, block):
-        rows = bucket_table.data[bidx[lo : lo + block]]
-        rows *= inv[owner[lo : lo + block], None]
-        np.add.at(out, owner[lo : lo + block], rows)
+    for k in range(counts.max(initial=0)):
+        has = np.flatnonzero(counts > k)
+        out[has] += bucket_table.data[bidx[offs[has] + k]] * inv[has, None]
 
     def rule(g):
         keep = w > 0
         gw = SparseRows(ids[keep], g[keep] * w[keep, None], word_table.shape)
-        gb_val = g[owner]
-        gb_val *= inv[owner, None]  # in place: one row per bucket of every token
-        gb = SparseRows(bidx, gb_val, bucket_table.shape)
+        gb = SparseRows(bidx, np.repeat(g * inv[:, None], counts, axis=0), bucket_table.shape)
         return gw, gb
 
     return _record((word_table, bucket_table), out, rule)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,31 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# train section key: (type, valid value?, what a valid value is)
+_TRAIN_KEYS = {
+    "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
+    "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
+    "patience": (int, lambda v: v >= 0, "an integer >= 0"),
+    "min_count": (int, lambda v: v >= 1, "an integer >= 1"),
+    "class_weight": (bool, lambda v: True, "true or false"),
+    "lr": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "clip_norm": ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "val_fraction": ((int, float), lambda v: 0 <= v < 1, "a number in [0, 1)"),
+}
+
+
+def _check_train_section(section: dict) -> None:
+    """``ConfigError`` for an unknown key or a mistyped or out-of-range value."""
+    unknown = sorted(set(section) - set(_TRAIN_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown train config key(s): {', '.join(unknown)}")
+    for key, value in section.items():
+        kind, valid, want = _TRAIN_KEYS[key]
+        # bool is an int subclass: only class_weight takes one
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not valid(value):
+            raise ConfigError(f"train {key} must be {want}, got {json.dumps(value)}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """File settings overlaid with any flags the user actually passed."""
     cfg = {
@@ -101,6 +127,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             for part in target[:-1]:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
+    _check_train_section(cfg["train"])
     return cfg
 
 

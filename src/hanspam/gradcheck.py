@@ -131,20 +131,20 @@ def check_dropout() -> float:
     return check_scalar_fn(build, [x])
 
 
-def check_masked_softmax() -> float:
+def check_softmax() -> float:
+    """Softmax over plain scores and over scores masked by a constant -inf bias."""
     rng = _rng(4)
     worst = 0.0
     x1 = _param(rng, 6)
-    m1 = np.array([True, True, False, True, False, True])
-    worst = max(worst, check_scalar_fn(lambda: _weighted(ad.masked_softmax(x1, m1), _rng(41)), [x1]))
+    b1 = np.where([True, True, False, True, False, True], 0.0, -np.inf)
+    worst = max(worst, check_scalar_fn(lambda: _weighted(ad.softmax(ad.add(x1, b1)), _rng(41)), [x1]))
     x2 = _param(rng, 4, 5)
     m2 = rng.random((4, 5)) > 0.3
     m2[:, 0] = True
-    worst = max(
-        worst, check_scalar_fn(lambda: _weighted(ad.masked_softmax(x2, m2), _rng(42)), [x2])
-    )
+    b2 = np.where(m2, 0.0, -np.inf)
+    worst = max(worst, check_scalar_fn(lambda: _weighted(ad.softmax(ad.add(x2, b2)), _rng(42)), [x2]))
     x3 = _param(rng, 3, 2)
-    worst = max(worst, check_scalar_fn(lambda: _weighted(ad.masked_softmax(x3, None), _rng(43)), [x3]))
+    worst = max(worst, check_scalar_fn(lambda: _weighted(ad.softmax(x3), _rng(43)), [x3]))
     return worst
 
 
@@ -366,7 +366,7 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
     ("matmul", check_matmul),
     ("elementwise", check_elementwise),
     ("dropout", check_dropout),
-    ("masked_softmax", check_masked_softmax),
+    ("softmax", check_softmax),
     ("dilated_conv1d", check_dilated_conv1d),
     ("stack", check_stack),
     ("transpose", check_transpose),

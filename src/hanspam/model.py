@@ -12,8 +12,10 @@ word BiGRU and word attention, with one row per real sentence of the batch;
 then sentences, gathered from those rows into ``[S, docs, dim]`` with padding
 slots reading a zero row, through the sentence BiGRU and attention. Every
 convolution is ``autodiff.dilated_conv1d``; only a GRU's state update runs
-step by step. The whole model composes from differentiable primitives, so
-every part stays gradient-checkable.
+step by step. Padding is one additive bias per sequence op: -inf on a padded
+step's GRU update gate carries the state over, and on its attention score
+gives it weight 0. The whole model composes from differentiable primitives,
+so every part stays gradient-checkable.
 """
 
 from __future__ import annotations
@@ -145,6 +147,13 @@ class Dropout:
 NO_DROPOUT = Dropout(p=0.0, training=False)
 
 
+def _padding_bias(mask: np.ndarray | None, rows: int, steps: int, op: str) -> np.ndarray | None:
+    """Additive ``[rows, steps]`` bias: 0 at a real step, -inf at padding; None without a mask."""
+    if mask is not None and np.shape(mask) != (rows, steps):
+        raise ad.ShapeError(f"{op} expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}")
+    return None if mask is None else np.where(mask, 0.0, -np.inf)
+
+
 def bigru_encode(
     x: Tensor,
     mask: np.ndarray | None,
@@ -153,10 +162,11 @@ def bigru_encode(
 ) -> Tensor:
     """Annotations ``[steps, rows, 2*hidden]``: ``[fwd_state; bwd_state]`` per step.
 
-    ``x`` is ``[steps, rows, in]`` and ``mask`` ``[rows, steps]``; masked
-    steps hold state. Each gate's input projection, bias included, is one
-    matmul over all steps, so only ``h @ u_*`` runs inside the recurrence
-    (Appleyard et al., arXiv 1604.01946).
+    ``x`` is ``[steps, rows, in]`` and ``mask`` ``[rows, steps]``; a masked
+    step's update gate is ``sigmoid(-inf) = 0``, so it holds state. Each
+    gate's input projection, bias included, is one matmul over all steps, so
+    only ``h @ u_*`` runs inside the recurrence (Appleyard et al., arXiv
+    1604.01946).
     """
     if x.ndim != 3 or x.shape[0] < 1 or any(x.shape[2] != g.w_z.shape[0] for g in (forward, backward)):
         raise ad.ShapeError(
@@ -164,7 +174,7 @@ def bigru_encode(
         )
     steps, rows, in_dim = x.shape
     flat = ad.reshape(x, (steps * rows, in_dim))
-    m = None if mask is None else np.asarray(mask, dtype=np.float64)
+    bias = _padding_bias(mask, rows, steps, "bigru_encode")
 
     def run(g: GruParams, order) -> Tensor:
         hidden = g.u_z.shape[0]
@@ -172,17 +182,15 @@ def bigru_encode(
             ad.reshape(flat @ w + b, (steps, rows, hidden))
             for w, b in ((g.w_z, g.b_z), (g.w_r, g.b_r), (g.w_h, g.b_h))
         )
+        if bias is not None:
+            xz = ad.add(xz, bias.T[:, :, None])
         h = Tensor(np.zeros((rows, hidden)))
         states: list[Tensor | None] = [None] * steps
         for t in order:
             z = ad.sigmoid(ad.take_rows(xz, t) + h @ g.u_z)
             r = ad.sigmoid(ad.take_rows(xr, t) + h @ g.u_r)
             cand = ad.tanh(ad.take_rows(xh, t) + ad.mul(r, h) @ g.u_h)
-            h_new = ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
-            if m is not None:
-                keep = m[:, t : t + 1]
-                h_new = ad.add(ad.mul(h_new, keep), ad.mul(h, 1.0 - keep))
-            h = states[t] = h_new
+            h = states[t] = ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
         return ad.stack(states)
 
     fwd = run(forward, range(steps))
@@ -200,16 +208,17 @@ def attention_pool(
     """Score each step against a trained context vector and pool by softmax.
 
     ``annotations`` is ``[steps, rows, dim]`` and ``mask`` ``[rows, steps]``;
-    a row with no valid step raises ``EmptyAttentionError``. Returns the
-    pooled rows ``[rows, dim]`` and the attention weight matrix
-    ``[rows, steps]``.
+    a masked step scores -inf and gets weight 0, and a row with no valid
+    step raises ``EmptyAttentionError``. Returns the pooled rows
+    ``[rows, dim]`` and the attention weight matrix ``[rows, steps]``.
     """
     if annotations.ndim != 3 or annotations.shape[0] < 1:
         raise ad.ShapeError(f"attention_pool expects [steps >= 1, rows, dim], got {annotations.shape}")
     steps, rows, dim = annotations.shape
+    bias = _padding_bias(mask, rows, steps, "attention_pool")
     flat = ad.reshape(annotations, (steps * rows, dim))
-    scores = ad.reshape(ad.tanh(flat @ w + b) @ context, (steps, rows))
-    alpha = ad.masked_softmax(ad.transpose(scores, (1, 0)), mask)
+    scores = ad.transpose(ad.reshape(ad.tanh(flat @ w + b) @ context, (steps, rows)), (1, 0))
+    alpha = ad.softmax(scores if bias is None else ad.add(scores, bias))
     weights = ad.reshape(ad.transpose(alpha, (1, 0)), (steps, rows, 1))
     return ad.tsum(ad.mul(weights, annotations), axis=0), alpha
 
@@ -510,13 +519,11 @@ class HanModel:
         )
 
         logits = doc_vec @ self.params["head.w"] + self.params["head.b"]
-        probs = ad.masked_softmax(logits, None)
+        probs = ad.softmax(logits)
         return probs, alpha_w, alpha_s
 
     def forward_document(self, doc: EncodedDocument) -> tuple[np.ndarray, AttentionTrace]:
         """Evaluation-mode probabilities and attention trace for one document."""
-        if doc.n_sentences == 0:
-            raise ValueError(f"document {doc.doc_id!r} is empty")
         batch = collate([doc])
         probs, alpha_w, alpha_s = self.forward_batch(batch, training=False)
         words = [

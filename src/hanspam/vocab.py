@@ -97,8 +97,8 @@ def build_vocab(documents: Iterable[EmailDocument], min_count: int = 2) -> Vocab
 
 @dataclass
 class PretrainedReport:
-    hits: int
-    misses: int
+    hits: int  # vocabulary rows filled from the file
+    misses: int  # vocabulary rows the file does not list
     file_tokens: int
 
 
@@ -173,7 +173,6 @@ def load_pretrained(
     table = EmbeddingTable(
         vocab, dim=dim, n_min=n_min, n_max=n_max, buckets=buckets, seed=seed, trainable=trainable
     )
-    hits = 0
     file_tokens = 0
     found = np.zeros(len(vocab), dtype=bool)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -208,10 +207,8 @@ def load_pretrained(
             idx = vocab.lookup(token)
             table.word.data[idx] = vec
             found[idx] = True
-            hits += 1
-    for idx in range(2, len(vocab)):
-        if not found[idx]:
-            table.word.data[idx] = 0.0
+    table.word.data[2:][~found[2:]] = 0.0
+    hits = int(found.sum())
     return table, PretrainedReport(hits=hits, misses=len(vocab) - 2 - hits, file_tokens=file_tokens)
 
 

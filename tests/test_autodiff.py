@@ -53,21 +53,26 @@ class TestMatmul:
 
 
 class TestMaskedSoftmax:
+    """``ad.softmax`` over scores masked out by -inf entries."""
+
     def test_symmetric_scores_uniform(self):
-        out = ad.masked_softmax(Tensor([2.5, 2.5, 2.5]), [True, True, True])
+        out = ad.softmax(Tensor([2.5, 2.5, 2.5]))
         assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_single_valid_position(self):
-        out = ad.masked_softmax(Tensor([123.0, -4.0, 9.0]), [False, True, False])
+        out = ad.softmax(Tensor([-np.inf, -4.0, -np.inf]))
         assert np.array_equal(out.data, [0.0, 1.0, 0.0])
 
     def test_log2_scores(self):
-        out = ad.masked_softmax(Tensor([0.0, np.log(2.0)]), [True, True])
+        out = ad.softmax(Tensor([0.0, np.log(2.0)]))
         assert np.allclose(out.data, [1 / 3, 2 / 3], atol=1e-15)
 
     def test_all_false_mask_raises(self):
         with pytest.raises(EmptyAttentionError):
-            ad.masked_softmax(Tensor([1.0, 2.0]), [False, False])
+            ad.softmax(Tensor([-np.inf, -np.inf]))
+        # one row with no finite score is enough
+        with pytest.raises(EmptyAttentionError):
+            ad.softmax(Tensor([[1.0, -np.inf], [-np.inf, -np.inf]]))
 
     @given(
         scores=st.lists(st.floats(-30, 30), min_size=1, max_size=12),
@@ -81,10 +86,11 @@ class TestMaskedSoftmax:
         )
         if not any(mask):
             mask[0] = True
-        base = ad.masked_softmax(Tensor(scores), mask).data
+        bias = np.where(mask, 0.0, -np.inf)
+        base = ad.softmax(Tensor(np.array(scores) + bias)).data
         assert abs(base.sum() - 1.0) < 1e-12
-        shifted = ad.masked_softmax(
-            Tensor([s + shift if m else s for s, m in zip(scores, mask)]), mask
+        shifted = ad.softmax(
+            Tensor([s + shift if m else s for s, m in zip(scores, mask)] + bias)
         ).data
         assert np.max(np.abs(base - shifted)) < 1e-12
         assert all(b == 0.0 for b, m in zip(base, mask) if not m)
@@ -350,35 +356,40 @@ class TestElementwise:
 
 class TestEmbeddingLookup:
     @staticmethod
-    def _tokens(rng, n, dim):
-        words = rng.uniform(-1, 1, (9, dim))
-        buckets = rng.uniform(-1, 1, (13, dim))
-        counts = rng.integers(0, 7, n)
-        counts[0] = 0  # padding: no buckets, zero weight
-        ids, weight = rng.integers(0, 9, n), (rng.random(n) < 0.7).astype(float)
-        weight[0] = 0.0
-        return words, buckets, ids, weight, rng.integers(0, 13, counts.sum()), np.r_[0, np.cumsum(counts)]
+    def per_token_loop(words, buckets, ids, weight, bidx, offs, g):
+        """Values and both table gradients, one token and one bucket row at a time."""
+        out = np.zeros((ids.size, words.shape[1]))
+        gw, gb = np.zeros_like(words), np.zeros_like(buckets)
+        for i in range(ids.size):
+            rows = bidx[offs[i] : offs[i + 1]]
+            out[i] = weight[i] * words[ids[i]]
+            if weight[i] > 0:
+                gw[ids[i]] += g[i] * weight[i]
+            for r in rows:
+                out[i] = out[i] + buckets[r] * (1.0 / rows.size)
+                gb[r] += g[i] * (1.0 / rows.size)
+        return out, gw, gb
 
-    @pytest.mark.parametrize("budget", ["one element", "three rows", "default"])
-    def test_blocks_match_one_block(self, budget, monkeypatch):
+    def test_matches_per_token_loop(self):
         rng = np.random.default_rng(8)
-        dim = 5
-        words, buckets, *lists = self._tokens(rng, 11, dim)
-        seen = weights = None
-        for elems in (2**40, {"one element": 1, "three rows": 3 * dim, "default": ad._TEMP_ELEMS}[budget]):
-            monkeypatch.setattr(ad, "_TEMP_ELEMS", elems)
-            w, b = Tensor(words, requires_grad=True), Tensor(buckets, requires_grad=True)
-            with Tape() as tape:
-                out = ad.embedding_lookup(w, b, *lists)
-                weights = rng.uniform(-1, 1, out.shape) if weights is None else weights
-                loss = ad.tsum(ad.mul(out, weights))
-            tape.backward(loss)
-            if seen is None:
-                seen = (out.data, w.grad, b.grad)
-                assert np.all(out.data[0] == 0.0)
-            else:
-                for got, want in zip((out.data, w.grad, b.grad), seen):
-                    assert np.array_equal(got, want)
+        n, dim = 11, 5
+        words, buckets = rng.uniform(-1, 1, (9, dim)), rng.uniform(-1, 1, (13, dim))
+        ids, weight = rng.integers(0, 9, n), (rng.random(n) < 0.7).astype(float)
+        counts = rng.integers(0, 7, n)
+        counts[:3] = 0, 1, 23  # padding, one bucket, more buckets than any other token
+        weight[0] = 0.0  # padding: no buckets, zero weight
+        offs = np.r_[0, np.cumsum(counts)]
+        bidx = rng.integers(0, 13, offs[-1])
+        g = rng.uniform(-1, 1, (n, dim))
+        w, b = Tensor(words, requires_grad=True), Tensor(buckets, requires_grad=True)
+        with Tape() as tape:
+            out = ad.embedding_lookup(w, b, ids, weight, bidx, offs)
+            loss = ad.tsum(ad.mul(out, g))
+        tape.backward(loss)
+        want = self.per_token_loop(words, buckets, ids, weight, bidx, offs, g)
+        for got, ref in zip((out.data, w.grad, b.grad), want, strict=True):
+            assert np.array_equal(got, ref)
+        assert np.all(out.data[0] == 0.0)
 
     def test_rejects_time_major_ids(self):
         words, buckets = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))

@@ -301,6 +301,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            ({"epoch": 1}, "unknown train config key(s): epoch"),
+            ({"batch_size": "8"}, 'train batch_size must be an integer >= 1, got "8"'),
+            ({"batch_size": 0}, "train batch_size must be an integer >= 1, got 0"),
+            ({"val_fraction": "x"}, 'train val_fraction must be a number in [0, 1), got "x"'),
+            ({"val_fraction": 1.0}, "train val_fraction must be a number in [0, 1), got 1.0"),
+            ({"epochs": True}, "train epochs must be an integer >= 0, got true"),
+            ({"class_weight": 1}, "train class_weight must be true or false, got 1"),
+            ({"lr": 0}, "train lr must be a finite number > 0, got 0"),
+        ],
+        ids=["unknown_key", "string_batch", "zero_batch", "string_fraction", "whole_fraction",
+             "bool_epochs", "int_class_weight", "zero_lr"],
+    )
+    def test_bad_train_config_is_input_error(self, tmp_path, corpus_dir, capsys, train, message):
+        cfg = write_config(tmp_path / "cfg.json", train={"batch_size": 8, "epochs": 1, "min_count": 1, **train})
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # rejected before any work
+
     def test_runtime_failure_is_exit_one(self, tmp_path, corpus_dir, monkeypatch, capsys):
         docs = make_corpus(n_docs=8, seed=9)
         vocab = build_vocab(docs, min_count=1)

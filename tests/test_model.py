@@ -127,11 +127,24 @@ class TestBigru:
         x = Tensor(rng.uniform(-1, 1, (4, 1, 2)))
         mask = np.array([[True, True, False, False]])
         ann = bigru_encode(x, mask, fw, bw).data
-        # forward half at the masked tail equals the last unmasked state
-        assert np.allclose(ann[2][:, :3], ann[1][:, :3])
-        assert np.allclose(ann[3][:, :3], ann[1][:, :3])
+        # forward half at the masked tail is the last unmasked state, bitwise
+        assert np.array_equal(ann[2][:, :3], ann[1][:, :3])
+        assert np.array_equal(ann[3][:, :3], ann[1][:, :3])
         # backward half entering the masked tail is still the zero init state
-        assert np.allclose(ann[2][:, 3:], 0.0)
+        assert np.array_equal(ann[2][:, 3:], np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 2), (2, 3), (4,)])
+    def test_wrongly_shaped_mask_rejected(self, shape):
+        # x is [4 steps, 2 rows]; the mask must be [rows, steps] = [2, 4], not
+        # merely broadcastable to it
+        rng = np.random.default_rng(10)
+        fw = random_gates(rng, 3, 2)
+        x = Tensor(rng.uniform(-1, 1, (4, 2, 3)))
+        w, b, u = Tensor(np.eye(3)), Tensor(np.zeros(3)), Tensor(np.ones(3))
+        with pytest.raises(ad.ShapeError, match=r"bigru_encode expects a mask\[rows, steps\] = \[2, 4\]"):
+            bigru_encode(x, np.ones(shape, dtype=bool), fw, fw)
+        with pytest.raises(ad.ShapeError, match=r"attention_pool expects a mask\[rows, steps\] = \[2, 4\]"):
+            attention_pool(x, np.ones(shape, dtype=bool), w, b, u)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(4)
@@ -424,7 +437,7 @@ def per_step_attention(seq, mask, w, b, context):
     """Reference attention: one score column per step, pooled by a left fold."""
     ctx_col = ad.reshape(context, (context.size, 1))
     scores = ad.concat([ad.tanh(h @ w + b) @ ctx_col for h in seq], axis=1)
-    alpha = ad.masked_softmax(scores, mask)
+    alpha = ad.softmax(scores if mask is None else ad.add(scores, np.where(mask, 0.0, -np.inf)))
     pooled = None
     for col, h in zip(unstack(ad.transpose(alpha, (1, 0))), seq):
         term = ad.mul(ad.reshape(col, (h.shape[0], 1)), h)
@@ -605,6 +618,26 @@ class TestTapeEntriesDoNotGrowWithLength:
                 attention_pool(x, np.ones((3, steps), dtype=bool), w, b, u)
             counts.add(len(tape))
         assert len(counts) == 1, counts
+
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_mask_costs_a_fixed_number_of_entries(self, steps):
+        # a mask is one additive bias per GRU direction and one per attention
+        # call, whatever the length
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.uniform(-1, 1, (steps, 3, 4)), requires_grad=True)
+        fw, bw = random_gates(rng, 4, 2), random_gates(rng, 4, 2)
+        w, b, u = Tensor(np.eye(4)), Tensor(np.zeros(4)), Tensor(np.ones(4))
+        mask = np.ones((3, steps), dtype=bool)
+        mask[1, 1:] = False
+        ops = {"gru": lambda m: bigru_encode(x, m, fw, bw), "attn": lambda m: attention_pool(x, m, w, b, u)}
+
+        def entries(op, m):
+            with ad.Tape() as tape:
+                op(m)
+            return len(tape)
+
+        added = {name: entries(op, mask) - entries(op, None) for name, op in ops.items()}
+        assert added == {"gru": 2, "attn": 1}
 
     def test_forward_batch_attention_and_sentence_regroup(self, monkeypatch):
         import hanspam.model as hm

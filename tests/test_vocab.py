@@ -124,6 +124,14 @@ class TestLoadPretrained:
         assert report.file_tokens == 2
         assert np.array_equal(table.word.data[vocab.lookup("a")], [1.0, 2.0, 3.0])
 
+    def test_repeated_token_counts_one_hit(self, tmp_path):
+        vocab = build_vocab([doc("a b c")], min_count=1)
+        path = tmp_path / "vecs.txt"
+        _write_vectors(path, 3, [("a", [1, 2, 3]), ("a", [4, 5, 6]), ("a", [7, 8, 9]), ("b", [0, 0, 1])])
+        table, report = load_pretrained(path, vocab, dim=3, buckets=7)
+        assert (report.hits, report.misses, report.file_tokens) == (2, 1, 4)
+        assert np.array_equal(table.word.data[vocab.lookup("a")], [7.0, 8.0, 9.0])  # the last listing wins
+
     def test_dim_mismatch(self, tmp_path):
         vocab = build_vocab([doc("a")], min_count=1)
         path = tmp_path / "vecs.txt"
