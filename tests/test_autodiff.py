@@ -391,6 +391,39 @@ class TestEmbeddingLookup:
             assert np.array_equal(got, ref)
         assert np.all(out.data[0] == 0.0)
 
+    @staticmethod
+    def _tokens(rng, n, dim):
+        words = rng.uniform(-1, 1, (9, dim))
+        buckets = rng.uniform(-1, 1, (13, dim))
+        counts = rng.integers(0, 7, n)
+        counts[0] = 0  # padding: no buckets, zero weight
+        ids, weight = rng.integers(0, 9, n), (rng.random(n) < 0.7).astype(float)
+        weight[0] = 0.0
+        return words, buckets, ids, weight, rng.integers(0, 13, counts.sum()), np.r_[0, np.cumsum(counts)]
+
+    @pytest.mark.parametrize("budget", ["one element", "three rows", "default"])
+    def test_blocks_match_one_block(self, budget, monkeypatch):
+        # the temporary-size budget shared with dilated_conv1d must not change
+        # the composed vectors or either table's gradient
+        rng = np.random.default_rng(8)
+        dim = 5
+        words, buckets, *lists = self._tokens(rng, 11, dim)
+        seen = weights = None
+        for elems in (2**40, {"one element": 1, "three rows": 3 * dim, "default": ad._TEMP_ELEMS}[budget]):
+            monkeypatch.setattr(ad, "_TEMP_ELEMS", elems)
+            w, b = Tensor(words, requires_grad=True), Tensor(buckets, requires_grad=True)
+            with Tape() as tape:
+                out = ad.embedding_lookup(w, b, *lists)
+                weights = rng.uniform(-1, 1, out.shape) if weights is None else weights
+                loss = ad.tsum(ad.mul(out, weights))
+            tape.backward(loss)
+            if seen is None:
+                seen = (out.data, w.grad, b.grad)
+                assert np.all(out.data[0] == 0.0)
+            else:
+                for got, want in zip((out.data, w.grad, b.grad), seen):
+                    assert np.array_equal(got, want)
+
     def test_rejects_time_major_ids(self):
         words, buckets = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeError, match="embedding_lookup"):
