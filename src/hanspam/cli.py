@@ -92,8 +92,10 @@ def _check_train_section(section: dict) -> None:
             raise ConfigError(f"train {key} must be {want}, got {json.dumps(value)}")
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """File settings overlaid with any flags the user actually passed."""
+def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
+    """File settings overlaid with any flags the user actually passed, and the
+    model config built from them; both sections are checked before any
+    corpus file is read."""
     cfg = {
         "seed": 0,
         "out": "out",
@@ -128,7 +130,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
     _check_train_section(cfg["train"])
-    return cfg
+    model_cfg = {k: v for k, v in cfg["model"].items() if k != "pretrained_vectors"}
+    return cfg, HanConfig.from_dict(model_cfg)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -150,10 +153,9 @@ def _load_data(cfg: dict):
     return load_corpus(data["path"], data.get("layout", "merged"))
 
 
-def _caps(cfg: dict) -> tuple[int, int]:
-    """(s_max, t_max) from the model config, else ``HanConfig``'s defaults."""
-    model_cfg = cfg.get("model", {})
-    return model_cfg.get("s_max", HanConfig.s_max), model_cfg.get("t_max", HanConfig.t_max)
+def _caps(config: HanConfig) -> tuple[int, int]:
+    """The (s_max, t_max) documents are cut at."""
+    return config.s_max, config.t_max
 
 
 def _documents(emails, caps: tuple[int, int], include_subject: bool):
@@ -169,10 +171,8 @@ def _ingest(cfg: dict, caps: tuple[int, int], include_subject: bool = False):
     return loaded, kept, dropped
 
 
-def _build_model(cfg: dict, vocab, seed: int) -> HanModel:
-    model_cfg = dict(cfg.get("model", {}))
-    pretrained = model_cfg.pop("pretrained_vectors", None)
-    config = HanConfig.from_dict(model_cfg) if model_cfg else HanConfig()
+def _build_model(cfg: dict, config: HanConfig, vocab, seed: int) -> HanModel:
+    pretrained = cfg["model"].get("pretrained_vectors")
     if pretrained:
         table, report = load_pretrained(
             pretrained,
@@ -202,9 +202,11 @@ def _stratified_holdout(labels: np.ndarray, frac: float, seed: int):
     return np.flatnonzero(~val), np.flatnonzero(val)
 
 
-def _train_on_documents(cfg: dict, documents, val_documents, seed: int) -> tuple[HanModel, object]:
+def _train_on_documents(
+    cfg: dict, config: HanConfig, documents, val_documents, seed: int
+) -> tuple[HanModel, object]:
     vocab = build_vocab(documents, min_count=cfg.get("train", {}).get("min_count", 2))
-    model = _build_model(cfg, vocab, seed)
+    model = _build_model(cfg, config, vocab, seed)
     train_cfg = TrainConfig(
         seed=seed,
         **{
@@ -222,7 +224,7 @@ def _train_on_documents(cfg: dict, documents, val_documents, seed: int) -> tuple
 # --- subcommands --------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    cfg = _merge_config(args)
+    cfg, _ = _merge_config(args)
     loaded = _load_data(cfg)
     stats = corpus_stats(loaded.emails, include_subject=args.include_subject)
     print(render_stats(stats))
@@ -241,18 +243,18 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _merge_config(args)
+    cfg, config = _merge_config(args)
     out = _out_dir(cfg)
     _snapshot(cfg, out)
     seed = int(cfg["seed"])
 
-    _, kept, dropped = _ingest(cfg, _caps(cfg), include_subject=args.include_subject)
+    _, kept, dropped = _ingest(cfg, _caps(config), include_subject=args.include_subject)
     labels = np.array([d.label for d in kept])
     train_idx, val_idx = _stratified_holdout(labels, cfg.get("train", {}).get("val_fraction", 0.1), seed)
     train_docs = [kept[i] for i in train_idx]
     val_docs = [kept[i] for i in val_idx]
 
-    model, result = _train_on_documents(cfg, train_docs, val_docs, seed)
+    model, result = _train_on_documents(cfg, config, train_docs, val_docs, seed)
 
     history = [
         {"epoch": r.epoch, "train_loss": r.train_loss, "val_auc": r.val_auc} for r in result.log
@@ -273,11 +275,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _merge_config(args)
+    cfg, _ = _merge_config(args)
     model = HanModel.load(args.checkpoint)
     # cut documents at the caps the checkpoint was trained with
-    caps = (model.config.s_max, model.config.t_max)
-    _, kept, _ = _ingest(cfg, caps, include_subject=args.include_subject)
+    _, kept, _ = _ingest(cfg, _caps(model.config), include_subject=args.include_subject)
     encoded = model.encode(kept)
     scores = model.score(encoded)
     labels = np.array([d.label for d in kept])
@@ -291,7 +292,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cross(args) -> int:
-    cfg = _merge_config(args)
+    cfg, config = _merge_config(args)
     out = _out_dir(cfg)
     _snapshot(cfg, out)
     seed = int(cfg["seed"])
@@ -308,7 +309,7 @@ def cmd_cross(args) -> int:
         if diagonal not in DIAGONAL_PROTOCOLS:
             raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
         loaded = load_corpus(entry["path"], entry.get("layout", "merged"))
-        docs, _ = _documents(loaded.emails, _caps(cfg), args.include_subject)
+        docs, _ = _documents(loaded.emails, _caps(config), args.include_subject)
         specs.append(
             DatasetSpec(
                 name=name,
@@ -320,7 +321,7 @@ def cmd_cross(args) -> int:
         )
 
     def train_fn(train_docs, val_docs):
-        model, _ = _train_on_documents(cfg, list(train_docs), list(val_docs), seed)
+        model, _ = _train_on_documents(cfg, config, list(train_docs), list(val_docs), seed)
         return model
 
     def score_fn(model, docs):

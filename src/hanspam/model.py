@@ -66,6 +66,19 @@ class HanConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # types before ranges; annotations are strings under postponed
+        # evaluation, and bool, an int subclass, is no size
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
+            raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
+        if not isinstance(self.cnn_windows, (tuple, list)) or any(
+            isinstance(w, bool) or not isinstance(w, int) for w in self.cnn_windows
+        ):
+            shown = list(self.cnn_windows) if isinstance(self.cnn_windows, tuple) else self.cnn_windows
+            raise ConfigError(f"cnn_windows must be a list of integers, got {shown!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("embed_dim", "gru_hidden", "tcn_levels", "tcn_kernel",
@@ -105,7 +118,7 @@ class HanConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown model config key(s): {', '.join(unknown)}")
-        if "cnn_windows" in d:
+        if isinstance(d.get("cnn_windows"), list):
             d["cnn_windows"] = tuple(d["cnn_windows"])
         return cls(**d)
 
@@ -657,6 +670,11 @@ def load_checkpoint(path: str | Path) -> HanModel:
             spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"
             got, want = next((a, b) for a, b in itertools.zip_longest(listed, built) if a != b)
             raise CheckpointError(f"{path} lists {spec(got)} where its config builds {spec(want)}")
-        for t in model.params.values():
-            t.data = np.frombuffer(fh.read(t.size * 8), dtype="<f8").reshape(t.shape).copy()
+        for name, t in model.params.items():
+            # straight from the file into the array: no second copy of a table
+            data = np.empty(t.shape, dtype="<f8")
+            got = fh.readinto(memoryview(data).cast("B"))
+            if got != data.nbytes:
+                raise CheckpointError(f"{path} is truncated: {name} has {got} of {data.nbytes} bytes")
+            t.data = data
     return model

@@ -75,7 +75,17 @@ def inverse_frequency_weights(labels: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Bias-corrected Adam over named tensors."""
+    """Bias-corrected Adam over named tensors, updating only rows seen so far.
+
+    ``seen[name]`` marks the rows (along axis 0) whose gradient has had a
+    nonzero entry (NaN and inf included) at any step. The update runs the
+    dense expressions on those rows only. This is exact: an unseen row has
+    ``m = v = 0`` and a zero gradient, so dense Adam would subtract exactly
+    0.0 from it, which leaves every value, ``-0.0`` included, bitwise as it
+    was. Once every row is seen the update indexes with a full slice, so
+    small dense parameters take the dense path. ``m`` and ``v`` are dense;
+    ``np.zeros`` leaves the pages of never-written rows unmapped.
+    """
 
     def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -85,8 +95,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+        self.m = {name: np.zeros(t.shape) for name, t in self.params}
+        self.v = {name: np.zeros(t.shape) for name, t in self.params}
+        self.seen = {name: np.zeros(t.shape[:1], dtype=bool) for name, t in self.params}
 
     def step(self) -> None:
         self.step_count += 1
@@ -95,17 +106,27 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
+            seen = self.seen[name]
+            seen |= g.any(axis=tuple(range(1, g.ndim)))
+            rows = slice(None) if seen.all() else np.flatnonzero(seen)
+            g = g[rows]
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
-            m = self.m[name]
-            v = self.v[name]
+            # a full slice gives views, so the dense path updates in place
+            m = self.m[name][rows]
+            v = self.v[name][rows]
+            data = p.data[rows]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not isinstance(rows, slice):
+                self.m[name][rows] = m
+                self.v[name][rows] = v
+                p.data[rows] = data
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -197,6 +218,9 @@ def train(
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}")
             opt.zero_grad()
             tape.backward(loss)
+            # the activations are not read again: free them before the
+            # clipping and Adam temporaries are allocated
+            del tape, probs
             clip_gradients(trainable, cfg.clip_norm)
             opt.step()
             losses.append(loss.item())
@@ -216,7 +240,9 @@ def train(
         score = val_auc if np.isfinite(val_auc) else -record.train_loss
         if score > best_auc:
             best_auc = score
-            best_snapshot = {k: t.data.copy() for k, t in model.params.items()}
+            # nothing changes the parameters after the last epoch: keep no copy
+            last = epoch == cfg.epochs - 1
+            best_snapshot = None if last else {k: t.data.copy() for k, t in model.params.items()}
             result.best_epoch = epoch
             result.best_val_auc = val_auc
             stale = 0

@@ -290,16 +290,28 @@ class TestExitCodes:
             ({"cnn_windows": [0, 2]}, "cnn_windows must be positive window sizes, got [0, 2]"),
             ({"embed_n_min": 5, "embed_n_max": 3}, "need 1 <= embed_n_min <= embed_n_max, got 5 and 3"),
             ([1, 2], "config section 'model' must be a JSON object, got [1, 2]"),
+            ({"embed_dim": "8"}, "embed_dim must be an integer, got '8'"),
+            ({"s_max": "3"}, "s_max must be an integer, got '3'"),
+            ({"t_max": 2.5}, "t_max must be an integer, got 2.5"),
+            ({"dropout": "0.1"}, "dropout must be a number, got '0.1'"),
+            ({"s_max": 0}, "s_max must be positive"),
+            ({"gru_hidden": True}, "gru_hidden must be an integer, got True"),
+            ({"cnn_windows": 3}, "cnn_windows must be a list of integers, got 3"),
+            ({"cnn_windows": [2, 2.5]}, "cnn_windows must be a list of integers, got [2, 2.5]"),
         ],
-        ids=["unknown_key", "no_windows", "zero_window", "ngram_range", "model_not_object"],
+        ids=["unknown_key", "no_windows", "zero_window", "ngram_range", "model_not_object",
+             "string_dim", "string_s_max", "float_t_max", "string_dropout", "zero_s_max",
+             "bool_hidden", "int_windows", "float_window"],
     )
     def test_bad_model_config_is_input_error(self, tmp_path, corpus_dir, capsys, model, message):
         section = {**TINY_MODEL, **model} if isinstance(model, dict) else model
         cfg = write_config(tmp_path / "cfg.json", model=section)
-        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(tmp_path / "run")])
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert not out.exists()  # rejected before any work
 
     @pytest.mark.parametrize(
         "train, message",

@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from hanspam import autodiff as ad
+from hanspam import training
 from hanspam.autodiff import Tape, Tensor
+from hanspam.cli import EXIT_OK, main
 from hanspam.ingest import EmailDocument
 from hanspam.model import collate
-from hanspam.synth import make_corpus
+from hanspam.synth import make_corpus, write_corpus_dir
 from hanspam.training import (
     Adam,
     NonFiniteGradient,
@@ -102,6 +106,126 @@ class TestAdam:
         opt = Adam([("w_q", theta)])
         with pytest.raises(NonFiniteGradient, match="w_q"):
             opt.step()
+
+
+class ReferenceAdam:
+    """Dense bias-corrected Adam: every row of every parameter, every step."""
+
+    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
+        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for name, p in self.params:
+            g = p.grad
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def zero_grad(self):
+        for _, p in self.params:
+            p.zero_grad()
+
+
+def _twin_tables(rng, shape):
+    """Two equal leaves with some exact zeros and negative zeros in them."""
+    data = rng.normal(size=shape)
+    data[1] = 0.0
+    data[2] = -0.0
+    data.flat[::7] = -0.0
+    return Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
+
+
+class TestRowSparseAdam:
+    def run_twins(self, grads_per_step, shape=(10, 4), lr=0.01):
+        rng = np.random.default_rng(0)
+        sparse_p, dense_p = _twin_tables(rng, shape)
+        sparse = Adam([("table", sparse_p)], lr=lr)
+        dense = ReferenceAdam([("table", dense_p)], lr=lr)
+        for grad in grads_per_step:
+            for opt, p in ((sparse, sparse_p), (dense, dense_p)):
+                opt.zero_grad()
+                p.grad[...] = grad
+                opt.step()
+            assert sparse_p.data.tobytes() == dense_p.data.tobytes()
+            assert sparse.m["table"].tobytes() == dense.m["table"].tobytes()
+            assert sparse.v["table"].tobytes() == dense.v["table"].tobytes()
+        return sparse, sparse_p
+
+    def test_bitwise_equal_to_dense_over_overlapping_row_subsets(self):
+        rng = np.random.default_rng(1)
+        shape = (10, 4)
+        # row 0 is touched once and then left idle; rows 8 and 9 never
+        subsets = [[0, 3, 4], [3, 5], [4, 5, 6], [5], [3, 6, 7], [6, 7]]
+        grads = []
+        for rows in subsets:
+            g = np.zeros(shape)
+            g[rows] = rng.normal(size=(len(rows), shape[1]))
+            g[rows[-1], 0] = 0.0  # a touched row may still hold zeros
+            g[1, 2] = -0.0  # a negative zero alone does not touch a row
+            grads.append(g)
+        opt, _ = self.run_twins(grads, shape)
+        assert opt.seen["table"].tolist() == [True, False, False, True, True, True, True, True, False, False]
+
+    def test_full_slice_once_every_row_is_seen(self):
+        rng = np.random.default_rng(2)
+        grads = [np.where(np.arange(6)[:, None] < 3, rng.normal(size=(6, 2)), 0.0), rng.normal(size=(6, 2))]
+        grads += [rng.normal(size=(6, 2)) * (rng.random((6, 1)) < 0.5) for _ in range(4)]
+        opt, _ = self.run_twins(grads, shape=(6, 2))
+        assert opt.seen["table"].all()
+
+    def test_never_touched_rows_keep_zero_moments_and_values(self):
+        rng = np.random.default_rng(3)
+        grads = []
+        for _ in range(6):
+            g = np.zeros((10, 4))
+            g[3:8] = rng.normal(size=(5, 4))
+            grads.append(g)
+        start = _twin_tables(np.random.default_rng(0), (10, 4))[0].data  # as run_twins draws it
+        opt, p = self.run_twins(grads)
+        idle = [0, 1, 2, 8, 9]
+        assert not opt.m["table"][idle].any() and not opt.v["table"][idle].any()
+        assert p.data[idle].tobytes() == start[idle].tobytes()
+        assert np.signbit(p.data[2]).all()  # -0.0 stays -0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_one_row_names_parameter(self, bad):
+        table = Tensor(np.ones((50, 3)), requires_grad=True)
+        opt = Adam([("embed.bucket", table)])
+        table.grad[17, 1] = bad
+        with pytest.raises(NonFiniteGradient, match="embed.bucket"):
+            opt.step()
+
+    @pytest.mark.parametrize("variant", ["cnn", "tcn", "none"])
+    def test_train_checkpoint_equals_dense_reference(self, tmp_path, monkeypatch, variant):
+        corpus = write_corpus_dir(make_corpus(n_docs=24, seed=4), tmp_path / "corpus")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {
+            "embed_dim": 8, "gru_hidden": 3, "cnn_windows": [2], "cnn_maps": 3, "tcn_levels": 2,
+            "tcn_kernel": 2, "tcn_channels": 4, "s_max": 5, "t_max": 8, "embed_buckets": 3000,
+        }, "train": {"batch_size": 6, "min_count": 1}}))
+
+        def run(out):
+            argv = ["train", "--config", str(config), "--data", str(corpus), "--variant", variant,
+                    "--epochs", "1", "--seed", "5", "--out", str(tmp_path / out)]
+            assert main(argv) == EXIT_OK
+            return (tmp_path / out / "checkpoint.bin").read_bytes()
+
+        sparse = run("sparse")
+        monkeypatch.setattr(training, "Adam", ReferenceAdam)
+        assert run("dense") == sparse
 
 
 def _encoded_corpus(model, n=10, seed=0):
@@ -254,6 +378,25 @@ class TestTrain:
         model.params["head.w"].data[...] = np.nan
         with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
             train(model, encoded[:16], encoded[16:], TrainConfig(epochs=1, seed=7))
+
+    def test_best_epoch_parameters_are_kept(self, monkeypatch):
+        def params_after(epochs, val_aucs=None):
+            model, docs = _fresh_model(variant="cnn", seed=9)
+            encoded = [encode_document(d, model.vocab, model.table) for d in docs]
+            if val_aucs is not None:
+                fake = iter(val_aucs)
+                monkeypatch.setattr(training, "roc_auc", lambda scores, labels: next(fake))
+            result = train(model, encoded[:24], encoded[24:],
+                           TrainConfig(batch_size=8, epochs=epochs, seed=9, patience=0))
+            monkeypatch.undo()
+            return result.best_epoch, {k: t.data.tobytes() for k, t in model.params.items()}
+
+        _, first_epoch = params_after(1)
+        # epoch 1 is worse: epoch 0's parameters come back bitwise
+        assert params_after(2, (0.9, 0.5)) == (0, first_epoch)
+        # epoch 1 is best: its parameters stay
+        best, last = params_after(2, (0.5, 0.9))
+        assert best == 1 and last != first_epoch
 
     def test_frozen_embeddings_stay_fixed_while_rest_trains(self):
         model, docs = _fresh_model(variant="none", seed=8)
