@@ -153,21 +153,19 @@ def _load_data(cfg: dict):
     return load_corpus(data["path"], data.get("layout", "merged"))
 
 
-def _caps(config: HanConfig) -> tuple[int, int]:
-    """The (s_max, t_max) documents are cut at."""
-    return config.s_max, config.t_max
-
-
-def _documents(emails, caps: tuple[int, int], include_subject: bool):
-    """Kept (non-empty) documents cut at ``caps``, and the ids of the empty ones."""
-    s_max, t_max = caps
-    docs = [to_document(e, s_max=s_max, t_max=t_max, include_subject=include_subject) for e in emails]
+def _documents(emails, config: HanConfig, include_subject: bool):
+    """Kept (non-empty) documents cut at the config's ``s_max`` and ``t_max``,
+    and the ids of the empty ones."""
+    docs = [
+        to_document(e, s_max=config.s_max, t_max=config.t_max, include_subject=include_subject)
+        for e in emails
+    ]
     return [d for d in docs if not d.empty], [d.doc_id for d in docs if d.empty]
 
 
-def _ingest(cfg: dict, caps: tuple[int, int], include_subject: bool = False):
+def _ingest(cfg: dict, config: HanConfig, include_subject: bool = False):
     loaded = _load_data(cfg)
-    kept, dropped = _documents(loaded.emails, caps, include_subject)
+    kept, dropped = _documents(loaded.emails, config, include_subject)
     return loaded, kept, dropped
 
 
@@ -248,7 +246,7 @@ def cmd_train(args) -> int:
     _snapshot(cfg, out)
     seed = int(cfg["seed"])
 
-    _, kept, dropped = _ingest(cfg, _caps(config), include_subject=args.include_subject)
+    _, kept, dropped = _ingest(cfg, config, include_subject=args.include_subject)
     labels = np.array([d.label for d in kept])
     train_idx, val_idx = _stratified_holdout(labels, cfg.get("train", {}).get("val_fraction", 0.1), seed)
     train_docs = [kept[i] for i in train_idx]
@@ -278,7 +276,7 @@ def cmd_eval(args) -> int:
     cfg, _ = _merge_config(args)
     model = HanModel.load(args.checkpoint)
     # cut documents at the caps the checkpoint was trained with
-    _, kept, _ = _ingest(cfg, _caps(model.config), include_subject=args.include_subject)
+    _, kept, _ = _ingest(cfg, model.config, include_subject=args.include_subject)
     encoded = model.encode(kept)
     scores = model.score(encoded)
     labels = np.array([d.label for d in kept])
@@ -309,7 +307,7 @@ def cmd_cross(args) -> int:
         if diagonal not in DIAGONAL_PROTOCOLS:
             raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
         loaded = load_corpus(entry["path"], entry.get("layout", "merged"))
-        docs, _ = _documents(loaded.emails, _caps(config), args.include_subject)
+        docs, _ = _documents(loaded.emails, config, args.include_subject)
         specs.append(
             DatasetSpec(
                 name=name,

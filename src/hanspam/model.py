@@ -66,11 +66,12 @@ class HanConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        # types before ranges; annotations are strings under postponed
-        # evaluation, and bool, an int subclass, is no size
+        # types before ranges; an annotation is the string "int" under
+        # postponed evaluation and the class otherwise; bool, an int
+        # subclass, is no size
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
             raise ConfigError(f"dropout must be a number, got {self.dropout!r}")

@@ -82,8 +82,7 @@ class Adam:
     dense expressions on those rows only. This is exact: an unseen row has
     ``m = v = 0`` and a zero gradient, so dense Adam would subtract exactly
     0.0 from it, which leaves every value, ``-0.0`` included, bitwise as it
-    was. Once every row is seen the update indexes with a full slice, so
-    small dense parameters take the dense path. ``m`` and ``v`` are dense;
+    was. ``m`` and ``v`` are dense;
     ``np.zeros`` leaves the pages of never-written rows unmapped.
     """
 
@@ -108,11 +107,10 @@ class Adam:
                 continue
             seen = self.seen[name]
             seen |= g.any(axis=tuple(range(1, g.ndim)))
-            rows = slice(None) if seen.all() else np.flatnonzero(seen)
+            rows = np.flatnonzero(seen)
             g = g[rows]
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
-            # a full slice gives views, so the dense path updates in place
             m = self.m[name][rows]
             v = self.v[name][rows]
             data = p.data[rows]
@@ -123,10 +121,9 @@ class Adam:
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
             data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if not isinstance(rows, slice):
-                self.m[name][rows] = m
-                self.v[name][rows] = v
-                p.data[rows] = data
+            self.m[name][rows] = m
+            self.v[name][rows] = v
+            p.data[rows] = data
 
     def zero_grad(self) -> None:
         for _, p in self.params:

@@ -179,7 +179,7 @@ class TestRowSparseAdam:
         opt, _ = self.run_twins(grads, shape)
         assert opt.seen["table"].tolist() == [True, False, False, True, True, True, True, True, False, False]
 
-    def test_full_slice_once_every_row_is_seen(self):
+    def test_matches_dense_once_every_row_is_seen(self):
         rng = np.random.default_rng(2)
         grads = [np.where(np.arange(6)[:, None] < 3, rng.normal(size=(6, 2)), 0.0), rng.normal(size=(6, 2))]
         grads += [rng.normal(size=(6, 2)) * (rng.random((6, 1)) < 0.5) for _ in range(4)]
