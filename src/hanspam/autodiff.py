@@ -4,8 +4,8 @@ The op set is deliberately small: exactly what a hierarchical GRU/attention
 classifier with convolutional feature stacks needs. All arithmetic is 64-bit;
 gradient checking needs the headroom. A ``Tape`` records operations in forward
 (topological) order; ``backward`` replays the local rules in reverse and
-accumulates into ``Tensor.grad`` of the leaves only. Embedding tables get
-sparse row gradients so a lookup never materializes a table-sized dense array.
+accumulates into ``Tensor.grad`` of the leaves only, made on first use. Sparse
+row gradients keep an embedding lookup from making a table-sized dense array.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ class Tensor:
     """A dense float64 array plus, on leaves, a gradient accumulator.
 
     ``requires_grad`` marks trainable leaves; outputs of recorded operations
-    inherit it but never hold a ``grad``. On a leaf, ``grad`` matches
-    ``data`` in shape and starts at zero; repeated backward passes accumulate
-    into it until ``zero_grad``.
+    inherit it but never hold a ``grad``. A leaf's ``grad`` is None until
+    ``zero_grad`` or a backward reaching it makes one with ``np.zeros`` (rows
+    never written stay unmapped); ``zero_grad`` then refills it in place.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -75,7 +75,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = np.zeros_like(self.data) if requires_grad else None
+        self.grad: Array | None = None
         self.name = name
 
     @property
@@ -97,7 +97,7 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
         elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.shape)
 
     # operator sugar; constants are wrapped on the fly
     def __add__(self, other):
@@ -206,7 +206,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for leaf, incoming in parts.items():
         if leaf.requires_grad:
             if leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.data)
+                leaf.zero_grad()
             _sum_parts(incoming, into=leaf.grad)
 
 

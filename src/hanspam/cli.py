@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -146,27 +147,34 @@ def _snapshot(cfg: dict, out: Path) -> None:
     )
 
 
-def _load_data(cfg: dict):
-    data = cfg.get("data", {})
+def _load_data(data: dict):
+    """The corpus a ``data`` section names; a count of the files it could not
+    read goes to stderr."""
     if "path" not in data:
         raise ConfigError("no corpus path given (use --data or the config file)")
-    return load_corpus(data["path"], data.get("layout", "merged"))
+    loaded = load_corpus(data["path"], data.get("layout", "merged"))
+    if loaded.skipped:
+        print(f"skipped {len(loaded.skipped)} unreadable files under {data['path']}", file=sys.stderr)
+    return loaded
 
 
-def _documents(emails, config: HanConfig, include_subject: bool):
+def _ingest(data: dict, config: HanConfig, include_subject: bool):
     """Kept (non-empty) documents cut at the config's ``s_max`` and ``t_max``,
-    and the ids of the empty ones."""
+    and one skip list: ``(path, reason)`` per unreadable file, then
+    ``(id, "empty")`` per empty document."""
+    loaded = _load_data(data)
     docs = [
         to_document(e, s_max=config.s_max, t_max=config.t_max, include_subject=include_subject)
-        for e in emails
+        for e in loaded.emails
     ]
-    return [d for d in docs if not d.empty], [d.doc_id for d in docs if d.empty]
+    skipped = loaded.skipped + [(d.doc_id, "empty") for d in docs if d.empty]
+    return [d for d in docs if not d.empty], skipped
 
 
-def _ingest(cfg: dict, config: HanConfig, include_subject: bool = False):
-    loaded = _load_data(cfg)
-    kept, dropped = _documents(loaded.emails, config, include_subject)
-    return loaded, kept, dropped
+def _write_skip_report(skipped, out: Path) -> None:
+    (out / "skip_report.txt").write_text(
+        "".join(f"{name}\t{reason}\n" for name, reason in skipped), encoding="utf-8"
+    )
 
 
 def _build_model(cfg: dict, config: HanConfig, vocab, seed: int) -> HanModel:
@@ -193,11 +201,15 @@ def _stratified_holdout(labels: np.ndarray, frac: float, seed: int):
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(idx.size)]
-        n_val = max(1, int(round(idx.size * frac))) if idx.size > 1 else 0
+        n_val = max(1, int(round(idx.size * frac))) if idx.size > 1 and frac > 0 else 0
         val_idx.extend(idx[:n_val].tolist())
     val = np.zeros(labels.size, dtype=bool)
     val[val_idx] = True
     return np.flatnonzero(~val), np.flatnonzero(val)
+
+
+# the train section keys that are TrainConfig fields; the run seed is set apart
+_TRAIN_SETTINGS = {f.name for f in fields(TrainConfig)} - {"seed"}
 
 
 def _train_on_documents(
@@ -205,14 +217,8 @@ def _train_on_documents(
 ) -> tuple[HanModel, object]:
     vocab = build_vocab(documents, min_count=cfg.get("train", {}).get("min_count", 2))
     model = _build_model(cfg, config, vocab, seed)
-    train_cfg = TrainConfig(
-        seed=seed,
-        **{
-            k: v
-            for k, v in cfg.get("train", {}).items()
-            if k in ("batch_size", "epochs", "patience", "class_weight", "lr", "clip_norm")
-        },
-    )
+    settings = {k: v for k, v in cfg.get("train", {}).items() if k in _TRAIN_SETTINGS}
+    train_cfg = TrainConfig(seed=seed, **settings)
     encoded_train = model.encode(documents)
     encoded_val = model.encode(val_documents)
     result = train(model, encoded_train, encoded_val, train_cfg)
@@ -223,7 +229,7 @@ def _train_on_documents(
 
 def cmd_stats(args) -> int:
     cfg, _ = _merge_config(args)
-    loaded = _load_data(cfg)
+    loaded = _load_data(cfg["data"])
     stats = corpus_stats(loaded.emails, include_subject=args.include_subject)
     print(render_stats(stats))
     if args.out:
@@ -232,11 +238,7 @@ def cmd_stats(args) -> int:
         record = stats.as_dict()
         record["seed"] = cfg["seed"]
         (out / "stats.jsonl").write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
-        (out / "skip_report.txt").write_text(
-            "".join(f"{path}\t{reason}\n" for path, reason in loaded.skipped), encoding="utf-8"
-        )
-    if loaded.skipped:
-        print(f"skipped {len(loaded.skipped)} unreadable files", file=sys.stderr)
+        _write_skip_report(loaded.skipped, out)
     return EXIT_OK
 
 
@@ -246,7 +248,7 @@ def cmd_train(args) -> int:
     _snapshot(cfg, out)
     seed = int(cfg["seed"])
 
-    _, kept, dropped = _ingest(cfg, config, include_subject=args.include_subject)
+    kept, skipped = _ingest(cfg["data"], config, args.include_subject)
     labels = np.array([d.label for d in kept])
     train_idx, val_idx = _stratified_holdout(labels, cfg.get("train", {}).get("val_fraction", 0.1), seed)
     train_docs = [kept[i] for i in train_idx]
@@ -264,8 +266,7 @@ def cmd_train(args) -> int:
     with open(out / "epochs.jsonl", "w", encoding="utf-8") as fh:
         for r in result.log:
             fh.write(json.dumps(r.as_dict(), sort_keys=True) + "\n")
-    if dropped:
-        (out / "skip_report.txt").write_text("".join(f"{d}\tempty\n" for d in dropped), encoding="utf-8")
+    _write_skip_report(skipped, out)
     for r in result.log:
         print(f"epoch {r.epoch}: loss {r.train_loss:.4f} val_auc {r.val_auc:.4f}")
     print(f"checkpoint: {out / 'checkpoint.bin'}")
@@ -276,7 +277,7 @@ def cmd_eval(args) -> int:
     cfg, _ = _merge_config(args)
     model = HanModel.load(args.checkpoint)
     # cut documents at the caps the checkpoint was trained with
-    _, kept, _ = _ingest(cfg, model.config, include_subject=args.include_subject)
+    kept, _ = _ingest(cfg["data"], model.config, args.include_subject)
     encoded = model.encode(kept)
     scores = model.score(encoded)
     labels = np.array([d.label for d in kept])
@@ -306,8 +307,7 @@ def cmd_cross(args) -> int:
         diagonal = entry.get("diagonal", "cv")
         if diagonal not in DIAGONAL_PROTOCOLS:
             raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
-        loaded = load_corpus(entry["path"], entry.get("layout", "merged"))
-        docs, _ = _documents(loaded.emails, config, args.include_subject)
+        docs, _ = _ingest(entry, config, args.include_subject)
         specs.append(
             DatasetSpec(
                 name=name,

@@ -672,10 +672,8 @@ def load_checkpoint(path: str | Path) -> HanModel:
             got, want = next((a, b) for a, b in itertools.zip_longest(listed, built) if a != b)
             raise CheckpointError(f"{path} lists {spec(got)} where its config builds {spec(want)}")
         for name, t in model.params.items():
-            # straight from the file into the array: no second copy of a table
-            data = np.empty(t.shape, dtype="<f8")
-            got = fh.readinto(memoryview(data).cast("B"))
-            if got != data.nbytes:
-                raise CheckpointError(f"{path} is truncated: {name} has {got} of {data.nbytes} bytes")
-            t.data = data
+            # straight from the file into the array the model holds: no second copy
+            got = fh.readinto(memoryview(t.data).cast("B"))
+            if got != t.data.nbytes:
+                raise CheckpointError(f"{path} is truncated: {name} has {got} of {t.data.nbytes} bytes")
     return model

@@ -262,6 +262,26 @@ class TestBackward:
 
         assert check_scalar_fn(build, [x, w]) < 1e-4
 
+    def test_zero_grad_makes_zeros_then_refills_the_same_array(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        assert x.grad is None
+        x.zero_grad()
+        assert x.grad.shape == (3, 2) and not x.grad.any()
+        held = x.grad
+        held += 5.0
+        x.zero_grad()
+        assert x.grad is held and not held.any()
+
+    def test_backward_makes_a_gradient_only_for_leaves_it_reaches(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        unused = Tensor([3.0], requires_grad=True)
+        with Tape() as tape:
+            loss = ad.tsum(ad.mul(x, x))
+            ad.mul(unused, 2.0)
+        tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert unused.grad is None
+
     def test_tape_entries_topologically_ordered(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:

@@ -1,9 +1,12 @@
 import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hanspam import cli
 from hanspam.cli import EXIT_INPUT, EXIT_OK, main
 from hanspam.model import HanConfig, HanModel, load_checkpoint
 from hanspam.synth import make_corpus, write_corpus_dir
@@ -171,6 +174,75 @@ class TestTrainEval:
         rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
         assert rc == EXIT_OK
         assert list(workdir.iterdir()) == []
+
+
+@pytest.fixture
+def unreadable(corpus_dir, monkeypatch):
+    """One spam file of ``corpus_dir`` whose read raises ``PermissionError``."""
+    victim = sorted((corpus_dir / "spam").iterdir())[0]
+    read_bytes = Path.read_bytes
+
+    def guarded(path):
+        if path == victim:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", guarded)
+    return victim
+
+
+class TestSkipsAndHoldout:
+    def test_train_reports_unreadable_and_empty_files(self, tmp_path, corpus_dir, unreadable, capsys):
+        empty = corpus_dir / "ham" / "empty.txt"
+        empty.write_text("Subject: nothing\n\n\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", train={"batch_size": 8, "epochs": 1, "min_count": 1})
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert f"skipped 1 unreadable files under {corpus_dir}" in capsys.readouterr().err
+        lines = (out / "skip_report.txt").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == [str(unreadable), str(empty)]
+        assert "Permission denied" in lines[0] and lines[1].endswith("\tempty")
+
+    def test_eval_and_cross_report_unreadable_files(self, tmp_path, corpus_dir, unreadable, capsys):
+        ckpt = tmp_path / "model.bin"
+        HanModel(HanConfig.from_dict(TINY_MODEL), build_vocab(make_corpus(n_docs=12, seed=2), min_count=1)).save(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir)]) == EXIT_OK
+        assert "skipped 1 unreadable files" in capsys.readouterr().err
+        other = write_corpus_dir(make_corpus(n_docs=12, seed=5), tmp_path / "other")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            datasets={"a": {"path": str(corpus_dir)}, "b": {"path": str(other)}},
+            eval={"kfold": 2, "expected_datasets": 2},
+        )
+        rc = main(["cross", "--config", str(cfg), "--out", str(tmp_path / "cross"), "--epochs", "1"])
+        assert rc == EXIT_OK
+        assert "skipped 1 unreadable files" in capsys.readouterr().err
+
+    def test_val_fraction_zero_holds_out_nothing(self, tmp_path, corpus_dir, monkeypatch):
+        seen = []
+        train = cli.train
+
+        def recording_train(model, train_docs, val_docs, cfg):
+            seen.append((len(train_docs), len(val_docs)))
+            return train(model, train_docs, val_docs, cfg)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        train_section = {"batch_size": 8, "epochs": 2, "min_count": 1, "val_fraction": 0}
+        cfg = write_config(tmp_path / "cfg.json", train=train_section)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert seen == [(30, 0)]
+        records = [json.loads(line) for line in (out / "epochs.jsonl").read_text().splitlines()]
+        assert len(records) == 2 and all(math.isnan(r["val_auc"]) for r in records)
+
+    def test_holdout_is_empty_at_zero_and_one_per_class_above(self):
+        labels = np.array([0] * 10 + [1] * 10)
+        train_idx, val_idx = cli._stratified_holdout(labels, 0.0, seed=3)
+        assert train_idx.tolist() == list(range(20)) and val_idx.size == 0
+        train_idx, val_idx = cli._stratified_holdout(labels, 0.01, seed=3)
+        assert sorted(labels[val_idx]) == [0, 1] and train_idx.size == 18
 
 
 class TestCross:

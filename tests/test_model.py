@@ -677,8 +677,6 @@ class TestBackward:
     def test_grad_only_on_leaves(self):
         model = small_model("cnn")
         batch = collate([toy_document(model)])
-        for _, p in model.trainable():
-            p.grad = None
         with ad.Tape() as tape:
             probs, _, _ = model.forward_batch(batch, training=False)
             loss = cross_entropy(probs, batch.labels)
@@ -808,6 +806,16 @@ class TestCheckpoint:
         p1, _ = model.forward_document(doc)
         p2, _ = back.forward_document(doc)
         assert p1.tobytes() == p2.tobytes()
+
+    @pytest.mark.parametrize("variant", ["cnn", "tcn", "none"])
+    def test_scoring_models_hold_no_gradient(self, tmp_path, variant):
+        model = small_model(variant, seed=3)
+        assert all(p.grad is None for p in model.params.values())
+        path = tmp_path / "model.bin"
+        model.save(path)
+        back = HanModel.load(path)
+        back.score([toy_document(back)])
+        assert all(p.grad is None for p in back.params.values())
 
     def test_two_saves_identical_bytes(self, tmp_path):
         model = small_model("tcn", seed=5)

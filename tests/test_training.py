@@ -78,6 +78,7 @@ class TestInverseFrequencyWeights:
 class TestAdam:
     def test_first_step_hand_value(self):
         theta = Tensor(np.array([0.0]), requires_grad=True)
+        theta.zero_grad()
         theta.grad[...] = 1.0
         opt = Adam([("theta", theta)], lr=0.001)
         opt.step()
@@ -94,6 +95,8 @@ class TestAdam:
         a = Tensor(np.array([0.3]), requires_grad=True)
         b = Tensor(np.array([0.3]), requires_grad=True)
         opt = Adam([("a", a), ("b", b)], lr=0.01)
+        a.zero_grad()
+        b.zero_grad()
         for _ in range(5):
             a.grad[...] = 0.7
             b.grad[...] = 0.7
@@ -102,6 +105,7 @@ class TestAdam:
 
     def test_non_finite_gradient_names_parameter(self):
         theta = Tensor(np.array([0.0]), requires_grad=True)
+        theta.zero_grad()
         theta.grad[...] = np.nan
         opt = Adam([("w_q", theta)])
         with pytest.raises(NonFiniteGradient, match="w_q"):
@@ -204,6 +208,7 @@ class TestRowSparseAdam:
     def test_non_finite_entry_in_one_row_names_parameter(self, bad):
         table = Tensor(np.ones((50, 3)), requires_grad=True)
         opt = Adam([("embed.bucket", table)])
+        table.zero_grad()
         table.grad[17, 1] = bad
         with pytest.raises(NonFiniteGradient, match="embed.bucket"):
             opt.step()
