@@ -161,14 +161,17 @@ def _load_data(data: dict):
 def _ingest(data: dict, config: HanConfig, include_subject: bool):
     """Kept (non-empty) documents cut at the config's ``s_max`` and ``t_max``,
     and one skip list: ``(path, reason)`` per unreadable file, then
-    ``(id, "empty")`` per empty document."""
+    ``(id, "empty")`` per empty document. A count of the empty documents
+    goes to stderr."""
     loaded = _load_data(data)
     docs = [
         to_document(e, s_max=config.s_max, t_max=config.t_max, include_subject=include_subject)
         for e in loaded.emails
     ]
-    skipped = loaded.skipped + [(d.doc_id, "empty") for d in docs if d.empty]
-    return [d for d in docs if not d.empty], skipped
+    empty = [(d.doc_id, "empty") for d in docs if d.empty]
+    if empty:
+        print(f"skipped {len(empty)} empty documents under {data['path']}", file=sys.stderr)
+    return [d for d in docs if not d.empty], loaded.skipped + empty
 
 
 def _write_skip_report(skipped, out: Path) -> None:
@@ -178,21 +181,12 @@ def _write_skip_report(skipped, out: Path) -> None:
 
 
 def _build_model(cfg: dict, config: HanConfig, vocab, seed: int) -> HanModel:
+    model = HanModel(config, vocab, seed=seed)
     pretrained = cfg["model"].get("pretrained_vectors")
     if pretrained:
-        table, report = load_pretrained(
-            pretrained,
-            vocab,
-            dim=config.embed_dim,
-            n_min=config.embed_n_min,
-            n_max=config.embed_n_max,
-            buckets=config.embed_buckets,
-            seed=seed,
-        )
+        report = load_pretrained(pretrained, model.table)
         print(f"pretrained vectors: {report.hits} hits, {report.misses} misses", file=sys.stderr)
-    else:
-        table = None
-    return HanModel(config, vocab, table=table, seed=seed)
+    return model
 
 
 def _stratified_holdout(labels: np.ndarray, frac: float, seed: int):
@@ -277,7 +271,7 @@ def cmd_eval(args) -> int:
     cfg, _ = _merge_config(args)
     model = HanModel.load(args.checkpoint)
     # cut documents at the caps the checkpoint was trained with
-    kept, _ = _ingest(cfg["data"], model.config, args.include_subject)
+    kept, skipped = _ingest(cfg["data"], model.config, args.include_subject)
     encoded = model.encode(kept)
     scores = model.score(encoded)
     labels = np.array([d.label for d in kept])
@@ -287,6 +281,7 @@ def cmd_eval(args) -> int:
         out = _out_dir(cfg)
         _snapshot(cfg, out)
         (out / "eval.jsonl").write_text(json.dumps(cell.as_dict(), sort_keys=True) + "\n", encoding="utf-8")
+        _write_skip_report(skipped, out)
     return EXIT_OK
 
 

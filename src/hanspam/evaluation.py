@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -183,9 +183,6 @@ class EvalMatrix:
     sd_avg: tuple[float, float]  # diagonal mean, population stddev
     cd_avg: tuple[float, float]  # off-diagonal mean, population stddev
 
-    def cell(self, train_id: str, test_id: str) -> EvalCell:
-        return self.cells[(train_id, test_id)]
-
     def records(self) -> list[dict]:
         recs = [self.cells[key].as_dict() for key in sorted(self.cells)]
         recs.append({"aggregate": "sd_avg", "mean": self.sd_avg[0], "stddev": self.sd_avg[1]})
@@ -317,7 +314,7 @@ def _diagonal_cell(ds: DatasetSpec, train_fn: TrainFn, score_fn: ScoreFn,
 
 
 def cross_dataset_eval(
-    datasets: Mapping[str, DatasetSpec] | Sequence[DatasetSpec],
+    datasets: Sequence[DatasetSpec],
     train_fn: TrainFn,
     score_fn: ScoreFn,
     k: int = 10,
@@ -331,10 +328,7 @@ def cross_dataset_eval(
     positive-class score per document. Off-diagonal cells reuse one model
     trained on the full source corpus.
     """
-    if isinstance(datasets, Mapping):
-        specs = list(datasets.values())
-    else:
-        specs = list(datasets)
+    specs = list(datasets)
     ids = [s.name for s in specs]
     if expected and len(specs) != expected:
         missing = expected - len(specs)

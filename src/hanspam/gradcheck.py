@@ -24,7 +24,7 @@ from .model import (
     tcn_stack,
 )
 from .training import cross_entropy
-from .vocab import EncodedDocument, EmbeddingTable, Vocabulary
+from .vocab import EncodedDocument, Vocabulary
 
 H = 1e-5
 TOLERANCE = 1e-4
@@ -289,9 +289,9 @@ def tiny_model(variant: str, seed: int = 0) -> HanModel:
         s_max=4,
         t_max=5,
         embed_buckets=17,
+        embed_n_max=4,
     )
-    table = EmbeddingTable(vocab, dim=6, n_min=3, n_max=4, buckets=17, seed=seed)
-    return HanModel(config, vocab, table=table, seed=seed)
+    return HanModel(config, vocab, seed=seed)
 
 
 def toy_document(model: HanModel) -> EncodedDocument:

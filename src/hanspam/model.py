@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .vocab import PAD, UNK, EmbeddingTable, EncodedDocument, Vocabulary
+from .vocab import PAD, UNK, EmbeddingTable, EncodedDocument, Vocabulary, encode_document
 
 VARIANTS = ("none", "cnn", "tcn")
 
@@ -308,18 +308,6 @@ class Batch:
         """``[n, T]``: which token slots hold a token (entry 0 is only ever padding)."""
         return self.tokens != 0
 
-    @property
-    def n_docs(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def n_sentences(self) -> int:
-        return self.sent_rows.shape[1]
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[1]
-
 
 def collate(docs: Sequence[EncodedDocument]) -> Batch:
     if not docs:
@@ -426,38 +414,27 @@ def _gru_params(params: dict[str, Tensor], level: str, direction: str) -> GruPar
 
 
 class HanModel:
-    """Config + vocabulary + embedding table + named parameters."""
+    """Config + vocabulary + embedding table + named parameters. The table's
+    geometry (dim, n-gram range, buckets) is the config's ``embed_*`` fields."""
 
-    def __init__(
-        self,
-        config: HanConfig,
-        vocab: Vocabulary,
-        table: EmbeddingTable | None = None,
-        seed: int = 0,
-    ):
-        if table is None:
-            table = EmbeddingTable(
-                vocab,
-                dim=config.embed_dim,
-                n_min=config.embed_n_min,
-                n_max=config.embed_n_max,
-                buckets=config.embed_buckets,
-                seed=seed,
-            )
-        if table.dim != config.embed_dim:
-            raise ConfigError(f"table dim {table.dim} != config embed_dim {config.embed_dim}")
+    def __init__(self, config: HanConfig, vocab: Vocabulary, seed: int = 0):
         self.config = config
         self.vocab = vocab
-        self.table = table
+        self.table = EmbeddingTable(
+            vocab,
+            dim=config.embed_dim,
+            n_min=config.embed_n_min,
+            n_max=config.embed_n_max,
+            buckets=config.embed_buckets,
+            seed=seed,
+        )
         self.seed = seed
-        self.params = init_params(config, table, seed=seed)
+        self.params = init_params(config, self.table, seed=seed)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(k, t) for k, t in self.params.items() if t.requires_grad]
 
     def encode(self, docs) -> list[EncodedDocument]:
-        from .vocab import encode_document
-
         return [encode_document(d, self.vocab, self.table) for d in docs]
 
     # --- forward -------------------------------------------------------------
@@ -570,6 +547,27 @@ class HanModel:
 
 _MAGIC = b"HANCKPT\x01"
 
+# checkpoint ``embed`` key: the HanConfig field it must equal
+_EMBED_FIELDS = {"dim": "embed_dim", "n_min": "embed_n_min", "n_max": "embed_n_max", "buckets": "embed_buckets"}
+
+
+def _check_embed(path, emb, config: HanConfig) -> None:
+    """``CheckpointError`` unless a header's ``embed`` section describes the
+    table ``config`` builds and says whether it trains."""
+    if not isinstance(emb, dict):
+        raise CheckpointError(f"{path} has an embed section that is not a JSON object")
+    missing = [k for k in (*_EMBED_FIELDS, "trainable") if k not in emb]
+    if missing:
+        raise CheckpointError(f"{path} has an embed section without {', '.join(missing)}")
+    for key, name in _EMBED_FIELDS.items():
+        # bool is an int subclass and 3.0 == 3: only an integer matches
+        if type(emb[key]) is not int or emb[key] != getattr(config, name):
+            raise CheckpointError(
+                f"{path} has embed {key} {json.dumps(emb[key])} where its config says {name} {getattr(config, name)}"
+            )
+    if not isinstance(emb["trainable"], bool):
+        raise CheckpointError(f"{path} has embed trainable {json.dumps(emb['trainable'])}, not true or false")
+
 
 def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None) -> None:
     """Versioned binary container; identical models serialize byte-identically."""
@@ -608,8 +606,9 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 def load_checkpoint(path: str | Path) -> HanModel:
     """Read a checkpoint; ``CheckpointError`` if the bytes do not form one.
 
-    The header must be a version-1 hanspam checkpoint whose parameter list
-    (names, shapes and order) is exactly what ``init_params`` builds for its
+    The header must be a version-1 hanspam checkpoint whose ``embed``
+    section matches its config's ``embed_*`` fields and whose parameter list
+    (names, shapes and order) is exactly what ``init_params`` builds for that
     config; this is checked before the payload is read.
     """
     with open(path, "rb") as fh:
@@ -653,19 +652,11 @@ def load_checkpoint(path: str | Path) -> HanModel:
             vocab = Vocabulary(
                 header["vocab"]["tokens"], header["vocab"]["freqs"], header["vocab"]["min_count"]
             )
-            emb = header["embed"]
-            table = EmbeddingTable(
-                vocab,
-                dim=emb["dim"],
-                n_min=emb["n_min"],
-                n_max=emb["n_max"],
-                buckets=emb["buckets"],
-                seed=header["seed"],
-                trainable=emb["trainable"],
-            )
-            model = HanModel(config, vocab, table=table, seed=header["seed"])
+            model = HanModel(config, vocab, seed=header["seed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad header: {type(exc).__name__}: {exc}") from None
+        _check_embed(path, header["embed"], config)
+        model.table.set_trainable(header["embed"]["trainable"])
         built = [(name, t.shape) for name, t in model.params.items()]
         if listed != built:
             spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"

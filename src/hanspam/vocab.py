@@ -117,8 +117,6 @@ class EmbeddingTable:
         n_max: int = 6,
         buckets: int = 100_000,
         seed: int = 0,
-        init_scale: float = 0.05,
-        trainable: bool = True,
     ):
         self.vocab = vocab
         self.dim = dim
@@ -126,12 +124,13 @@ class EmbeddingTable:
         self.n_max = n_max
         self.buckets = buckets
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE18B])))
-        words = rng.uniform(-init_scale, init_scale, size=(len(vocab), dim))
+        scale = 0.05
+        words = rng.uniform(-scale, scale, size=(len(vocab), dim))
         words[PAD] = 0.0  # padding stays exactly zero; masking keeps it gradient-free
         words[UNK] = 0.0  # unused: unknown tokens embed via n-gram buckets only
-        bucket_rows = rng.uniform(-init_scale, init_scale, size=(buckets, dim))
-        self.word = Tensor(words, requires_grad=trainable, name="embed.word")
-        self.bucket = Tensor(bucket_rows, requires_grad=trainable, name="embed.bucket")
+        bucket_rows = rng.uniform(-scale, scale, size=(buckets, dim))
+        self.word = Tensor(words, requires_grad=True, name="embed.word")
+        self.bucket = Tensor(bucket_rows, requires_grad=True, name="embed.bucket")
         self._gram_cache: dict[str, tuple[int, ...]] = {}
 
     @property
@@ -155,24 +154,14 @@ class EmbeddingTable:
         return ids
 
 
-def load_pretrained(
-    path: str | Path,
-    vocab: Vocabulary,
-    dim: int = 200,
-    n_min: int = 3,
-    n_max: int = 6,
-    buckets: int = 100_000,
-    seed: int = 0,
-    trainable: bool = True,
-) -> tuple[EmbeddingTable, PretrainedReport]:
-    """Fill word rows from a text-format vector file ("count dim" header).
+def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport:
+    """Fill ``table``'s word rows in place from a text-format vector file
+    ("count dim" header) whose dimension is the table's.
 
     Vocabulary tokens missing from the file get a zero word row so their
     vectors reduce to the n-gram composition.
     """
-    table = EmbeddingTable(
-        vocab, dim=dim, n_min=n_min, n_max=n_max, buckets=buckets, seed=seed, trainable=trainable
-    )
+    vocab, dim = table.vocab, table.dim
     file_tokens = 0
     found = np.zeros(len(vocab), dtype=bool)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -209,7 +198,7 @@ def load_pretrained(
             found[idx] = True
     table.word.data[2:][~found[2:]] = 0.0
     hits = int(found.sum())
-    return table, PretrainedReport(hits=hits, misses=len(vocab) - 2 - hits, file_tokens=file_tokens)
+    return PretrainedReport(hits=hits, misses=len(vocab) - 2 - hits, file_tokens=file_tokens)
 
 
 @dataclass

@@ -165,6 +165,33 @@ class TestTrainEval:
         assert seen and max(d.n_sentences for d in seen) == 2
         assert max(len(ids) for d in seen for ids in d.word_ids) == 3
 
+    def test_train_fills_word_rows_from_pretrained_vectors(self, tmp_path, corpus_dir, capsys):
+        listed = {"winner": [0.5, -1.25] * 5, "meeting": [2.0, 0.125] * 5, "notinthecorpus": [1.0] * 10}
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text(
+            f"{len(listed)} 10\n" + "".join(f"{t} {' '.join(map(str, v))}\n" for t, v in listed.items()),
+            encoding="utf-8",
+        )
+        cfg = write_config(tmp_path / "cfg.json", model={**TINY_MODEL, "pretrained_vectors": str(vectors)})
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out), "--epochs", "0"])
+        assert rc == EXIT_OK
+        model = load_checkpoint(out / "checkpoint.bin")
+        vocab, words = model.vocab, model.params["embed.word"].data
+        hits = [t for t in listed if t in vocab]
+        assert len(hits) == 2
+        misses = len(vocab) - 2 - len(hits)
+        assert f"pretrained vectors: {len(hits)} hits, {misses} misses" in capsys.readouterr().err
+        for token in hits:
+            assert np.array_equal(words[vocab.lookup(token)], listed[token])
+        unlisted = [i for i, t in enumerate(vocab.index_to_token) if i >= 2 and t not in listed]
+        assert len(unlisted) == misses and not words[unlisted].any()
+
+        vectors.write_text("1 3\nwinner 1 2 3\n", encoding="utf-8")
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(tmp_path / "bad")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {vectors}: file dimension 3 does not match configured 10\n"
+
     def test_commands_write_only_under_out(self, tmp_path, corpus_dir, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()
@@ -199,7 +226,9 @@ class TestSkipsAndHoldout:
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
         assert rc == EXIT_OK
-        assert f"skipped 1 unreadable files under {corpus_dir}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"skipped 1 unreadable files under {corpus_dir}" in err
+        assert f"skipped 1 empty documents under {corpus_dir}" in err
         lines = (out / "skip_report.txt").read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[0] for line in lines] == [str(unreadable), str(empty)]
         assert "Permission denied" in lines[0] and lines[1].endswith("\tempty")
@@ -215,9 +244,23 @@ class TestSkipsAndHoldout:
             datasets={"a": {"path": str(corpus_dir)}, "b": {"path": str(other)}},
             eval={"kfold": 2, "expected_datasets": 2},
         )
+        (other / "ham" / "empty.txt").write_text("Subject: nothing\n\n\n", encoding="utf-8")
         rc = main(["cross", "--config", str(cfg), "--out", str(tmp_path / "cross"), "--epochs", "1"])
         assert rc == EXIT_OK
-        assert "skipped 1 unreadable files" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "skipped 1 unreadable files" in err
+        assert f"skipped 1 empty documents under {other}" in err
+
+    def test_eval_reports_empty_documents(self, tmp_path, corpus_dir, capsys):
+        empty = corpus_dir / "spam" / "empty.txt"
+        empty.write_text("Subject: nothing\n\n\n", encoding="utf-8")
+        ckpt = tmp_path / "model.bin"
+        HanModel(HanConfig.from_dict(TINY_MODEL), build_vocab(make_corpus(n_docs=12, seed=2), min_count=1)).save(ckpt)
+        out = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == f"skipped 1 empty documents under {corpus_dir}\n"
+        assert (out / "skip_report.txt").read_text(encoding="utf-8") == f"{empty}\tempty\n"
 
     def test_val_fraction_zero_holds_out_nothing(self, tmp_path, corpus_dir, monkeypatch):
         seen = []
@@ -335,10 +378,23 @@ class TestExitCodes:
                 _with_header(lambda h: {**h, "config": {**h["config"], "gru_hidden": 5}}),
                 "lists word_gru.fw.w_z [3, 4] where its config builds word_gru.fw.w_z [3, 5]",
             ),
+            (
+                _with_header(lambda h: {**h, "embed": {**h["embed"], "n_max": 4}}),
+                "has embed n_max 4 where its config says embed_n_max 6",
+            ),
+            (
+                _with_header(lambda h: {**h, "embed": {k: v for k, v in h["embed"].items() if k != "buckets"}}),
+                "has an embed section without buckets",
+            ),
+            (
+                _with_header(lambda h: {**h, "embed": {**h["embed"], "trainable": 1}}),
+                "has embed trainable 1, not true or false",
+            ),
         ],
         ids=[
             "cut_header", "cut_payload", "bad_magic", "trailing_junk", "no_vocab", "list_header",
             "no_head_w", "version_99", "other_format", "config_over_other_shapes",
+            "embed_disagrees_with_config", "embed_without_buckets", "trainable_not_bool",
         ],
     )
     def test_damaged_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys, corrupt, message):

@@ -230,7 +230,7 @@ class TestCrossDatasetEval:
     def test_full_grid_with_perfect_stub(self):
         matrix = cross_dataset_eval(_stub_datasets(), _stub_train, _stub_score, k=3)
         for i in range(5):
-            assert matrix.cell(f"d{i}", f"d{i}").auc == pytest.approx(1.0)
+            assert matrix.cells[(f"d{i}", f"d{i}")].auc == pytest.approx(1.0)
         assert matrix.sd_avg[0] == pytest.approx(1.0)
         assert len(matrix.cells) == 25
         assert len(matrix.records()) == 27
@@ -248,7 +248,7 @@ class TestCrossDatasetEval:
         spec = DatasetSpec("ls", docs, labels, groups=groups, diagonal="groups_as_folds")
         specs = [spec] + _stub_datasets(4, seed=9)
         matrix = cross_dataset_eval(specs, _stub_train, _stub_score, k=3)
-        assert matrix.cell("ls", "ls").auc == pytest.approx(1.0)
+        assert matrix.cells[("ls", "ls")].auc == pytest.approx(1.0)
 
     def test_original_split_diagonal_uses_test_group_only(self):
         calls = []
@@ -266,7 +266,7 @@ class TestCrossDatasetEval:
             [spec] + _stub_datasets(4, seed=11), _stub_train, probe_score, k=3
         )
         assert 8 in calls  # diagonal scored exactly the 'test' group
-        assert matrix.cell("gs", "gs").auc == pytest.approx(1.0)
+        assert matrix.cells[("gs", "gs")].auc == pytest.approx(1.0)
 
     def test_aggregate_matrix_flags_missing_cells(self):
         cell = evaluate_scores([1.0, 0.0], [1, 0], "a", "a")

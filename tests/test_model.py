@@ -19,7 +19,7 @@ from hanspam.model import (
     tcn_stack,
 )
 from hanspam.training import cross_entropy
-from hanspam.vocab import PAD, encode_document
+from hanspam.vocab import PAD, char_ngrams, encode_document, fnv1a64
 
 
 def zero_gates(in_dim, hidden):
@@ -712,7 +712,7 @@ class TestBatchEmbedding:
         batch, encoded = self._batch(model)
         word, bucket = model.params["embed.word"].data, model.params["embed.bucket"].data
         x = model._embed(batch)
-        assert x.shape == (batch.n_tokens, batch.tok_mask.shape[0], model.config.embed_dim)
+        assert x.shape == (batch.tokens.shape[1], batch.tok_mask.shape[0], model.config.embed_dim)
         for di, doc in enumerate(encoded):
             for si, ids in enumerate(doc.word_ids):
                 for t in range(len(ids)):
@@ -786,6 +786,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="embed_n_min"):
             HanConfig(embed_n_min=n_min, embed_n_max=n_max)
 
+    @pytest.mark.parametrize("variant", ["none", "cnn", "tcn"])
+    def test_tiny_model_table_hashes_as_its_config_states(self, variant):
+        model = tiny_model(variant)
+        cfg = model.config
+        assert (cfg.embed_n_min, cfg.embed_n_max, cfg.embed_buckets) == (3, 4, 17)
+        assert model.table.bucket.shape == (cfg.embed_buckets, cfg.embed_dim)
+        for token in ("alpha", "unseen"):
+            grams = char_ngrams(token, cfg.embed_n_min, cfg.embed_n_max)
+            assert model.table.bucket_ids(token) == tuple(fnv1a64(g.encode()) % cfg.embed_buckets for g in grams)
+
     def test_feature_dims(self):
         assert HanConfig(variant="none", embed_dim=32).feature_dim == 32
         assert HanConfig(variant="cnn", cnn_windows=(2, 3), cnn_maps=8, embed_dim=32).feature_dim == 16
@@ -806,6 +816,15 @@ class TestCheckpoint:
         p1, _ = model.forward_document(doc)
         p2, _ = back.forward_document(doc)
         assert p1.tobytes() == p2.tobytes()
+
+    def test_frozen_table_loads_frozen(self, tmp_path):
+        model = small_model("none", seed=3)
+        model.table.set_trainable(False)
+        path = tmp_path / "model.bin"
+        model.save(path)
+        back = load_checkpoint(path)
+        assert not back.table.trainable
+        assert [name for name, _ in back.trainable()] == [name for name, _ in model.trainable()]
 
     @pytest.mark.parametrize("variant", ["cnn", "tcn", "none"])
     def test_scoring_models_hold_no_gradient(self, tmp_path, variant):

@@ -265,7 +265,7 @@ class TestMakeBatches:
         model, docs = _fresh_model()
         encoded = [encode_document(d, model.vocab, model.table) for d in docs[:5]]
         batches = make_batches(encoded, batch_size=2, seed=0, epoch=0)
-        assert [b.n_docs for b in batches] == [2, 2, 1]
+        assert [b.labels.shape[0] for b in batches] == [2, 2, 1]
 
     def test_same_seed_epoch_same_order(self):
         model, docs = _fresh_model()
@@ -284,8 +284,8 @@ class TestMakeBatches:
         )
         encoded = [encode_document(d, model.vocab, model.table) for d in (two, three)]
         batch = collate(encoded)
-        assert batch.n_sentences == 3
-        assert batch.n_tokens == 3
+        assert batch.sent_rows.shape[1] == 3
+        assert batch.tokens.shape[1] == 3
         # one token row per real sentence; the padding slot points past the last one
         assert batch.sent_rows.tolist() == [[0, 1, 5], [2, 3, 4]]
         assert batch.sent_mask.tolist() == [[True, True, False], [True, True, True]]

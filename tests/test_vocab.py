@@ -119,7 +119,8 @@ class TestLoadPretrained:
         vocab = build_vocab([doc("a a")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3]), ("b", [4, 5, 6])])
-        table, report = load_pretrained(path, vocab, dim=3, buckets=7)
+        table = EmbeddingTable(vocab, dim=3, buckets=7)
+        report = load_pretrained(path, table)
         assert report.hits == 1
         assert report.file_tokens == 2
         assert np.array_equal(table.word.data[vocab.lookup("a")], [1.0, 2.0, 3.0])
@@ -128,7 +129,8 @@ class TestLoadPretrained:
         vocab = build_vocab([doc("a b c")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3]), ("a", [4, 5, 6]), ("a", [7, 8, 9]), ("b", [0, 0, 1])])
-        table, report = load_pretrained(path, vocab, dim=3, buckets=7)
+        table = EmbeddingTable(vocab, dim=3, buckets=7)
+        report = load_pretrained(path, table)
         assert (report.hits, report.misses, report.file_tokens) == (2, 1, 4)
         assert np.array_equal(table.word.data[vocab.lookup("a")], [7.0, 8.0, 9.0])  # the last listing wins
 
@@ -137,20 +139,21 @@ class TestLoadPretrained:
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3])])
         with pytest.raises(PretrainedFormatError, match="dimension"):
-            load_pretrained(path, vocab, dim=200)
+            load_pretrained(path, EmbeddingTable(vocab, dim=200, buckets=7))
 
     def test_malformed_line_reports_number(self, tmp_path):
         vocab = build_vocab([doc("a")], min_count=1)
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1 2 3\nb 1 2\n", encoding="utf-8")
         with pytest.raises(PretrainedFormatError, match=":3:"):
-            load_pretrained(path, vocab, dim=3)
+            load_pretrained(path, EmbeddingTable(vocab, dim=3, buckets=7))
 
     def test_missing_token_falls_back_to_gram_mean(self, tmp_path):
         vocab = build_vocab([doc("ab xy")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 4, [("ab", [1, 1, 1, 1])])
-        table, report = load_pretrained(path, vocab, dim=4, n_min=3, n_max=3, buckets=11)
+        table = EmbeddingTable(vocab, dim=4, n_min=3, n_max=3, buckets=11)
+        report = load_pretrained(path, table)
         assert report.misses == 1
         ids = [fnv1a64(g.encode()) % 11 for g in char_ngrams("xy", 3, 3)]
         assert np.allclose(compose(table, "xy"), table.bucket.data[ids].mean(axis=0))
