@@ -786,9 +786,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="embed_n_min"):
             HanConfig(embed_n_min=n_min, embed_n_max=n_max)
 
-    @pytest.mark.parametrize("variant", ["none", "cnn", "tcn"])
-    def test_tiny_model_table_hashes_as_its_config_states(self, variant):
-        model = tiny_model(variant)
+    def test_tiny_model_table_hashes_as_its_config_states(self):
+        model = tiny_model("none")
         cfg = model.config
         assert (cfg.embed_n_min, cfg.embed_n_max, cfg.embed_buckets) == (3, 4, 17)
         assert model.table.bucket.shape == (cfg.embed_buckets, cfg.embed_dim)
