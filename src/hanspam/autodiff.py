@@ -546,15 +546,13 @@ def dropout_mask(shape, p: float, seed: int, step: int, salt: int = 0) -> Array:
     return (u >= p) / (1.0 - p)
 
 
-def dropout(x, p: float, seed: int = 0, step: int = 0, salt: int = 0, training: bool = True) -> Tensor:
-    """Zero each element with probability ``p`` and scale survivors by 1/(1-p).
-
-    Identity when ``training`` is false or ``p`` is zero.
-    """
+def dropout(x, p: float, seed: int = 0, step: int = 0, salt: int = 0) -> Tensor:
+    """Zero each element with probability ``p`` and scale survivors by 1/(1-p);
+    the identity when ``p`` is zero."""
     if not (0.0 <= p < 1.0):
         raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
     x = _wrap(x)
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     scale = dropout_mask(x.shape, p, seed, step, salt)
     y = x.data * scale

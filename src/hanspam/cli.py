@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .evaluation import (
     DIAGONAL_PROTOCOLS,
+    METRICS,
     DatasetSpec,
     FoldError,
     PartialMatrixError,
@@ -68,29 +69,38 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-# train section key: (type, valid value?, what a valid value is)
-_TRAIN_KEYS = {
-    "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
-    "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
-    "patience": (int, lambda v: v >= 0, "an integer >= 0"),
-    "min_count": (int, lambda v: v >= 1, "an integer >= 1"),
-    "class_weight": (bool, lambda v: True, "true or false"),
-    "lr": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
-    "clip_norm": ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "val_fraction": ((int, float), lambda v: 0 <= v < 1, "a number in [0, 1)"),
+# config key: (type, valid value?, what a valid value is); "" is the top
+# level, where only the seed is checked
+_KEYS = {
+    "": {"seed": (int, lambda v: True, "an integer")},
+    "train": {
+        "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
+        "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
+        "patience": (int, lambda v: v >= 0, "an integer >= 0"),
+        "min_count": (int, lambda v: v >= 1, "an integer >= 1"),
+        "class_weight": (bool, lambda v: True, "true or false"),
+        "lr": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
+        "clip_norm": ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+        "val_fraction": ((int, float), lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    },
+    "eval": {
+        "kfold": (int, lambda v: v >= 2, "an integer >= 2"),
+        "expected_datasets": (int, lambda v: v >= 0, "an integer >= 0"),
+    },
 }
 
 
-def _check_train_section(section: dict) -> None:
+def _check_section(name: str, section: dict) -> None:
     """``ConfigError`` for an unknown key or a mistyped or out-of-range value."""
-    unknown = sorted(set(section) - set(_TRAIN_KEYS))
+    keys = _KEYS[name]
+    unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown train config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
     for key, value in section.items():
-        kind, valid, want = _TRAIN_KEYS[key]
+        kind, valid, want = keys[key]
         # bool is an int subclass: only class_weight takes one
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not valid(value):
-            raise ConfigError(f"train {key} must be {want}, got {json.dumps(value)}")
+            raise ConfigError(f"{name} {key} must be {want}, got {json.dumps(value)}".lstrip())
 
 
 def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
@@ -130,7 +140,9 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
             for part in target[:-1]:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
-    _check_train_section(cfg["train"])
+    _check_section("", {"seed": cfg["seed"]})
+    _check_section("train", cfg["train"])
+    _check_section("eval", cfg["eval"])
     model_cfg = {k: v for k, v in cfg["model"].items() if k != "pretrained_vectors"}
     return cfg, HanConfig.from_dict(model_cfg)
 
@@ -209,9 +221,9 @@ _TRAIN_SETTINGS = {f.name for f in fields(TrainConfig)} - {"seed"}
 def _train_on_documents(
     cfg: dict, config: HanConfig, documents, val_documents, seed: int
 ) -> tuple[HanModel, object]:
-    vocab = build_vocab(documents, min_count=cfg.get("train", {}).get("min_count", 2))
+    vocab = build_vocab(documents, min_count=cfg["train"].get("min_count", 2))
     model = _build_model(cfg, config, vocab, seed)
-    settings = {k: v for k, v in cfg.get("train", {}).items() if k in _TRAIN_SETTINGS}
+    settings = {k: v for k, v in cfg["train"].items() if k in _TRAIN_SETTINGS}
     train_cfg = TrainConfig(seed=seed, **settings)
     encoded_train = model.encode(documents)
     encoded_val = model.encode(val_documents)
@@ -240,11 +252,11 @@ def cmd_train(args) -> int:
     cfg, config = _merge_config(args)
     out = _out_dir(cfg)
     _snapshot(cfg, out)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
 
     kept, skipped = _ingest(cfg["data"], config, args.include_subject)
     labels = np.array([d.label for d in kept])
-    train_idx, val_idx = _stratified_holdout(labels, cfg.get("train", {}).get("val_fraction", 0.1), seed)
+    train_idx, val_idx = _stratified_holdout(labels, cfg["train"].get("val_fraction", 0.1), seed)
     train_docs = [kept[i] for i in train_idx]
     val_docs = [kept[i] for i in val_idx]
 
@@ -289,12 +301,12 @@ def cmd_cross(args) -> int:
     cfg, config = _merge_config(args)
     out = _out_dir(cfg)
     _snapshot(cfg, out)
-    seed = int(cfg["seed"])
-    datasets_cfg = cfg.get("datasets") or {}
+    seed = cfg["seed"]
+    datasets_cfg = cfg["datasets"]
     if not datasets_cfg:
         raise ConfigError("cross needs a 'datasets' table in the config file")
 
-    specs = []
+    specs, skipped = [], []
     for name in sorted(datasets_cfg):
         entry = datasets_cfg[name]
         if not isinstance(entry, dict) or "path" not in entry:
@@ -302,7 +314,8 @@ def cmd_cross(args) -> int:
         diagonal = entry.get("diagonal", "cv")
         if diagonal not in DIAGONAL_PROTOCOLS:
             raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
-        docs, _ = _ingest(entry, config, args.include_subject)
+        docs, dataset_skipped = _ingest(entry, config, args.include_subject)
+        skipped += dataset_skipped
         specs.append(
             DatasetSpec(
                 name=name,
@@ -312,6 +325,7 @@ def cmd_cross(args) -> int:
                 diagonal=diagonal,
             )
         )
+    _write_skip_report(skipped, out)
 
     def train_fn(train_docs, val_docs):
         model, _ = _train_on_documents(cfg, config, list(train_docs), list(val_docs), seed)
@@ -324,9 +338,9 @@ def cmd_cross(args) -> int:
         specs,
         train_fn,
         score_fn,
-        k=int(cfg.get("eval", {}).get("kfold", 10)),
+        k=cfg["eval"]["kfold"],
         seed=seed,
-        expected=int(cfg.get("eval", {}).get("expected_datasets", 5)),
+        expected=cfg["eval"]["expected_datasets"],
     )
     (out / "matrix.jsonl").write_text(matrix.to_jsonl(), encoding="utf-8")
     (out / "matrix.tsv").write_text(matrix.to_tsv(), encoding="utf-8")
@@ -345,8 +359,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_RUNTIME
 
 
-_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
-_CELL_FIELDS = {"train_id": str, "test_id": str, **dict.fromkeys(_METRICS, (int, float))}
+_CELL_FIELDS = {"train_id": str, "test_id": str, **dict.fromkeys(METRICS, (int, float))}
 _AGGREGATE_FIELDS = {"aggregate": str, "mean": (int, float), "stddev": (int, float)}
 
 
@@ -378,11 +391,11 @@ def cmd_report(args) -> int:
     agg_recs = {r["aggregate"]: r for r in records if "aggregate" in r}
     if not cell_recs:
         raise ConfigError(f"{path} holds no evaluation cells")
-    cols = ["train", "test", *_METRICS]
+    cols = ["train", "test", *METRICS]
     widths = [max(len(c), 10) for c in cols]
     print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for r in cell_recs:
-        row = [r["train_id"], r["test_id"]] + [f"{r[c]:.4f}" for c in _METRICS]
+        row = [r["train_id"], r["test_id"]] + [f"{r[c]:.4f}" for c in METRICS]
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     for key in ("sd_avg", "cd_avg"):
         if key in agg_recs:

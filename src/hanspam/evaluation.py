@@ -30,6 +30,10 @@ class PartialMatrixError(ValueError):
     pass
 
 
+# the per-cell metrics, in the order every table and record lists them
+METRICS = ("accuracy", "precision", "recall", "f1", "auc")
+
+
 @dataclass
 class ConfusionCounts:
     tp: int
@@ -42,10 +46,11 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
     @classmethod
-    def from_scores(cls, scores, labels, threshold: float = 0.5) -> "ConfusionCounts":
+    def from_scores(cls, scores, labels) -> "ConfusionCounts":
+        """Counts with a document predicted spam when its score is at least 0.5."""
         scores = np.asarray(scores, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.intp)
-        pred = scores >= threshold
+        pred = scores >= 0.5
         pos = labels == 1
         return cls(
             tp=int(np.sum(pred & pos)),
@@ -61,31 +66,18 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    degenerate: frozenset[str] = frozenset()
 
 
 def confusion_metrics(counts: ConfusionCounts) -> Metrics:
-    """Accuracy, precision, recall, F1; zero-denominator cases yield flagged 0."""
+    """Accuracy, precision, recall, F1; a ratio with a zero denominator is 0."""
     if counts.total == 0:
         raise ValueError("confusion_metrics needs at least one evaluated document")
-    degenerate = set()
     accuracy = (counts.tp + counts.tn) / counts.total
-    if counts.tp + counts.fp > 0:
-        precision = counts.tp / (counts.tp + counts.fp)
-    else:
-        precision = 0.0
-        degenerate.add("precision")
-    if counts.tp + counts.fn > 0:
-        recall = counts.tp / (counts.tp + counts.fn)
-    else:
-        recall = 0.0
-        degenerate.add("recall")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.add("f1")
-    return Metrics(accuracy, precision, recall, f1, frozenset(degenerate))
+    predicted, actual = counts.tp + counts.fp, counts.tp + counts.fn
+    precision = counts.tp / predicted if predicted else 0.0
+    recall = counts.tp / actual if actual else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return Metrics(accuracy, precision, recall, f1)
 
 
 def roc_auc(scores, labels) -> float:
@@ -162,9 +154,8 @@ class EvalCell:
         return dict(self.__dict__)
 
 
-def evaluate_scores(scores, labels, train_id: str = "", test_id: str = "",
-                    threshold: float = 0.5) -> EvalCell:
-    m = confusion_metrics(ConfusionCounts.from_scores(scores, labels, threshold))
+def evaluate_scores(scores, labels, train_id: str = "", test_id: str = "") -> EvalCell:
+    m = confusion_metrics(ConfusionCounts.from_scores(scores, labels))
     return EvalCell(
         train_id=train_id,
         test_id=test_id,
@@ -193,18 +184,13 @@ class EvalMatrix:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records()) + "\n"
 
     def to_tsv(self) -> str:
-        cols = ["train", "test", "accuracy", "precision", "recall", "f1", "auc"]
-        lines = ["\t".join(cols)]
+        lines = ["\t".join(["train", "test", *METRICS])]
         for key in sorted(self.cells):
             c = self.cells[key]
-            lines.append(
-                "\t".join(
-                    [c.train_id, c.test_id]
-                    + [f"{v:.6f}" for v in (c.accuracy, c.precision, c.recall, c.f1, c.auc)]
-                )
-            )
-        lines.append(f"sd_avg\t\t\t\t\t\t{self.sd_avg[0]:.6f} ({self.sd_avg[1]:.6f})")
-        lines.append(f"cd_avg\t\t\t\t\t\t{self.cd_avg[0]:.6f} ({self.cd_avg[1]:.6f})")
+            lines.append("\t".join([c.train_id, c.test_id] + [f"{getattr(c, m):.6f}" for m in METRICS]))
+        skip = "\t" * (len(METRICS) + 1)  # an aggregate's value sits in the last column
+        for name, (mean, sd) in (("sd_avg", self.sd_avg), ("cd_avg", self.cd_avg)):
+            lines.append(f"{name}{skip}{mean:.6f} ({sd:.6f})")
         return "\n".join(lines) + "\n"
 
     def render_auc_grid(self) -> str:
@@ -264,15 +250,8 @@ ScoreFn = Callable[[object, Sequence], np.ndarray]
 
 
 def _mean_cell(cells: list[EvalCell], train_id: str, test_id: str) -> EvalCell:
-    return EvalCell(
-        train_id=train_id,
-        test_id=test_id,
-        accuracy=float(np.mean([c.accuracy for c in cells])),
-        precision=float(np.mean([c.precision for c in cells])),
-        recall=float(np.mean([c.recall for c in cells])),
-        f1=float(np.mean([c.f1 for c in cells])),
-        auc=float(np.mean([c.auc for c in cells])),
-    )
+    means = {m: float(np.mean([getattr(c, m) for c in cells])) for m in METRICS}
+    return EvalCell(train_id=train_id, test_id=test_id, **means)
 
 
 def _diagonal_cell(ds: DatasetSpec, train_fn: TrainFn, score_fn: ScoreFn,

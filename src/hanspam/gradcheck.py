@@ -37,23 +37,23 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def finite_difference(f: Callable[[], float], x: Tensor, h: float = H) -> np.ndarray:
+def finite_difference(f: Callable[[], float], x: Tensor) -> np.ndarray:
     """Central-difference gradient of scalar ``f`` w.r.t. every entry of ``x``."""
     grad = np.zeros_like(x.data)
     flat = x.data.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - H
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * H)
     return grad
 
 
-def check_scalar_fn(build: Callable[[], Tensor], wrt: list[Tensor], h: float = H) -> float:
+def check_scalar_fn(build: Callable[[], Tensor], wrt: list[Tensor]) -> float:
     """Max relative error between tape gradients and finite differences.
 
     ``build`` must recompute the scalar from the current data of ``wrt``
@@ -66,7 +66,7 @@ def check_scalar_fn(build: Callable[[], Tensor], wrt: list[Tensor], h: float = H
     tape.backward(loss)
     worst = 0.0
     for t in wrt:
-        fd = finite_difference(lambda: build().item(), t, h=h)
+        fd = finite_difference(lambda: build().item(), t)
         worst = max(worst, relative_error(t.grad, fd))
     return worst
 
@@ -125,9 +125,7 @@ def check_elementwise() -> float:
 def check_dropout() -> float:
     rng = _rng(3)
     x = _param(rng, 5, 6)
-    build = lambda: _weighted(
-        ad.dropout(x, 0.4, seed=7, step=3, salt=1, training=True), _rng(34)
-    )
+    build = lambda: _weighted(ad.dropout(x, 0.4, seed=7, step=3, salt=1), _rng(34))
     return check_scalar_fn(build, [x])
 
 
@@ -302,8 +300,7 @@ def toy_document(model: HanModel) -> EncodedDocument:
     return encode_document(doc, model.vocab, model.table)
 
 
-def check_full_model(variant: str, draws: int = 50, seed: int = 0,
-                     rtol: float = TOLERANCE) -> tuple[float, int]:
+def check_full_model(variant: str, draws: int = 50) -> tuple[float, int]:
     """Spot-check d(loss)/d(theta) across every parameter group of a tiny model.
 
     Randomly re-initializes the model several times and compares tape
@@ -313,12 +310,12 @@ def check_full_model(variant: str, draws: int = 50, seed: int = 0,
     detected (the quotient converges to the tape gradient as h shrinks) and
     resampled. Returns (max error, valid probes).
     """
-    rng = _rng(1000 + seed)
+    rng = _rng(1000)
     probes = 0
     worst = 0.0
     init = 0
     while probes < draws and init < 24:
-        model = tiny_model(variant, seed=seed * 101 + init)
+        model = tiny_model(variant, seed=init)
         init += 1
         doc = toy_document(model)
         batch = collate([doc])
@@ -349,12 +346,12 @@ def check_full_model(variant: str, draws: int = 50, seed: int = 0,
                     return (fp - fm) / (2.0 * h)
 
                 err = relative_error(np.array(gflat[idx]), np.array(quotient(H)))
-                if err >= rtol:
+                if err >= TOLERANCE:
                     refined = max(
                         relative_error(np.array(gflat[idx]), np.array(quotient(h)))
                         for h in (1e-6, 1e-7)
                     )
-                    if refined < rtol:
+                    if refined < TOLERANCE:
                         continue  # kink inside the h window, not a gradient defect
                     err = refined
                 worst = max(worst, err)
@@ -381,9 +378,9 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
 ]
 
 
-def run_suite(tolerance: float = TOLERANCE) -> list[tuple[str, float, bool]]:
+def run_suite() -> list[tuple[str, float, bool]]:
     results = []
     for name, fn in SUITE:
         err = fn()
-        results.append((name, err, err < tolerance))
+        results.append((name, err, err < TOLERANCE))
     return results

@@ -34,7 +34,7 @@ class RawEmail:
     body_text: str
     label: int
     group: str | None = None  # original split membership (part1..part10, train/test/adapt)
-    had_decode_errors: bool = False
+    had_decode_errors: bool = False  # the bytes are not UTF-8 and were read as Latin-1
 
 
 @dataclass
@@ -90,12 +90,12 @@ _HEADER_LINE = re.compile(r"^[!-9;-~]+:")  # RFC field-name chars followed by ':
 
 
 def _decode(raw: bytes) -> tuple[str, bool]:
-    for enc in ("utf-8", "latin-1"):
-        try:
-            return raw.decode(enc), False
-        except UnicodeDecodeError:
-            continue
-    return raw.decode("utf-8", errors="replace"), True
+    """The text of ``raw`` and whether it is not UTF-8; such bytes are read as
+    Latin-1, which decodes any byte string."""
+    try:
+        return raw.decode("utf-8"), False
+    except UnicodeDecodeError:
+        return raw.decode("latin-1"), True
 
 
 class _TextExtractor(HTMLParser):
@@ -238,6 +238,13 @@ def is_emoticon(token: str) -> bool:
     return False
 
 
+def _text(email: RawEmail, include_subject: bool) -> str:
+    """The text an email is classified by: its body, after a blank line under
+    the Subject line when ``include_subject`` is set and the email has one."""
+    subject = email.headers.get("subject") if include_subject else None
+    return f"{subject}\n\n{email.body_text}" if subject else email.body_text
+
+
 def to_document(
     email: RawEmail,
     s_max: int = 30,
@@ -245,9 +252,7 @@ def to_document(
     include_subject: bool = False,
 ) -> EmailDocument:
     """Tokenized document view of one email, truncated to the configured caps."""
-    text = email.body_text
-    if include_subject and email.headers.get("subject"):
-        text = email.headers["subject"] + "\n\n" + text
+    text = _text(email, include_subject)
     sentence_tokens = [toks for s in split_sentences(text) if (toks := tokenize(s))]
     truncated_sentences = len(sentence_tokens) > s_max
     truncated_tokens = any(len(t) > t_max for t in sentence_tokens)
@@ -317,60 +322,56 @@ LAYOUTS = {
 }
 
 
-def _load_trec(root: Path) -> CorpusLoad:
+def _trec_listing(root: Path) -> list[tuple[Path, int, None]]:
+    """``(path, label, None)`` per line of ``full/index`` that reads ``label path``."""
     index = root / "full" / "index"
     if not index.exists():
         raise LayoutError(f"trec layout needs {index}, not found")
-    emails: list[RawEmail] = []
-    skipped: list[tuple[str, str]] = []
-    for line in index.read_text(encoding="utf-8", errors="replace").splitlines():
-        parts = line.split()
-        if len(parts) != 2:
-            continue
-        label = SPAM if parts[0].lower() == "spam" else HAM
-        path = (root / "full" / parts[1]).resolve()
-        try:
-            emails.append(parse_email(path.read_bytes(), str(path), label))
-        except OSError as exc:
-            skipped.append((str(path), str(exc)))
-    if not emails:
-        raise EmptyCorpusError(f"no readable emails listed by {index}")
-    return CorpusLoad(emails, skipped)
+    return [
+        ((root / "full" / parts[1]).resolve(), SPAM if parts[0].lower() == "spam" else HAM, None)
+        for line in index.read_text(encoding="utf-8", errors="replace").splitlines()
+        if len(parts := line.split()) == 2
+    ]
+
+
+def _tree_listing(root: Path, classify) -> list[tuple[Path, int, str | None]]:
+    """``(path, label, group)`` per file under ``root`` that ``classify`` places, in path order."""
+    listing = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        hit = classify(PurePosixPath(path.relative_to(root).as_posix()))
+        if hit is not None:
+            listing.append((path, *hit))
+    return listing
 
 
 def load_corpus(root: str | Path, layout: str = "merged") -> CorpusLoad:
     """Read every email under ``root`` according to a named layout.
 
     Files that cannot be read are collected in the skip report rather than
-    silently dropped; undecodable bytes are replaced and flagged per email.
+    silently dropped. An email whose bytes are not UTF-8 is read as Latin-1
+    and flagged with ``had_decode_errors``; no byte is replaced or dropped.
+    The listed files must hold both classes.
     """
     root = Path(root)
     if not root.is_dir():
         raise LayoutError(f"corpus root {root} is not a directory")
     if layout == "trec":
-        return _load_trec(root)
-    try:
-        classify = LAYOUTS[layout]
-    except KeyError:
-        raise LayoutError(f"unknown layout {layout!r}; known: {sorted(LAYOUTS)+['trec']}") from None
+        listing = _trec_listing(root)
+    elif layout in LAYOUTS:
+        listing = _tree_listing(root, LAYOUTS[layout])
+    else:
+        raise LayoutError(f"unknown layout {layout!r}; known: {sorted(LAYOUTS)+['trec']}")
 
     emails: list[RawEmail] = []
     skipped: list[tuple[str, str]] = []
-    seen_labels: set[int] = set()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        rel = PurePosixPath(path.relative_to(root).as_posix())
-        hit = classify(rel)
-        if hit is None:
-            continue
-        label, group = hit
-        seen_labels.add(label)
+    for path, label, group in listing:
         try:
             emails.append(parse_email(path.read_bytes(), str(path), label, group))
         except OSError as exc:
             skipped.append((str(path), str(exc)))
     if not emails:
         raise EmptyCorpusError(f"no readable emails under {root} for layout {layout!r}")
-    missing = {HAM, SPAM} - seen_labels
+    missing = {HAM, SPAM} - {label for _, label, _ in listing}
     if missing:
         names = ", ".join(LABEL_NAMES[m] for m in sorted(missing))
         raise LayoutError(f"layout {layout!r} matched no files for class(es): {names}")
@@ -387,10 +388,7 @@ def corpus_stats(emails: list[RawEmail], include_subject: bool = False) -> Corpu
     links: Counter[str] = Counter()
     emotes: Counter[str] = Counter()
     for email in emails:
-        text = email.body_text
-        if include_subject and email.headers.get("subject"):
-            text = email.headers["subject"] + "\n\n" + text
-        for sentence in split_sentences(text):
+        for sentence in split_sentences(_text(email, include_subject)):
             for token in tokenize(sentence):
                 if is_link(token):
                     links[token] += 1

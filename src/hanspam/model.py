@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 import struct
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -146,19 +146,16 @@ class Dropout:
     p: float = 0.0
     seed: int = 0
     step: int = 0
-    training: bool = False
     _salt: int = 0
 
     def apply(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
+        if self.p == 0.0:
             return x
         self._salt += 1
-        return ad.dropout(
-            x, self.p, seed=self.seed, step=self.step, salt=self._salt, training=True
-        )
+        return ad.dropout(x, self.p, seed=self.seed, step=self.step, salt=self._salt)
 
 
-NO_DROPOUT = Dropout(p=0.0, training=False)
+NO_DROPOUT = Dropout()
 
 
 def _padding_bias(mask: np.ndarray | None, rows: int, steps: int, op: str) -> np.ndarray | None:
@@ -296,7 +293,6 @@ class Batch:
     token_words: np.ndarray  # word id per distinct token
     token_buckets: np.ndarray  # the distinct tokens' bucket ids, concatenated
     token_offs: np.ndarray  # CSR offsets into token_buckets, one more than the distinct tokens
-    doc_ids: list[str] = field(default_factory=list)
 
     @property
     def sent_mask(self) -> np.ndarray:
@@ -344,7 +340,6 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
         token_words=np.array(words, dtype=np.intp),
         token_buckets=np.fromiter(itertools.chain.from_iterable(buckets), dtype=np.intp, count=offs[-1]),
         token_offs=offs,
-        doc_ids=[d.doc_id for d in docs],
     )
 
 
@@ -462,11 +457,7 @@ class HanModel:
         ``batch.tokens`` order; sentence attention ``alpha_s`` is ``[docs, S]``.
         """
         cfg = self.config
-        drop = (
-            Dropout(p=cfg.dropout, seed=self.seed, step=step, training=True)
-            if training and cfg.dropout > 0
-            else NO_DROPOUT
-        )
+        drop = Dropout(p=cfg.dropout, seed=self.seed, step=step) if training else NO_DROPOUT
         # the stacks get the embedding as their only reference, so it can go
         # as soon as they are done with it
         if cfg.variant == "cnn":

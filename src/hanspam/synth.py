@@ -16,24 +16,19 @@ HAM_WORDS = (
 )
 
 
-def make_corpus(
-    n_docs: int = 200,
-    seed: int = 0,
-    spam_ratio: float = 0.5,
-    n_sentences: tuple[int, int] = (2, 5),
-    n_tokens: tuple[int, int] = (3, 8),
-) -> list[EmailDocument]:
-    """Separable two-class corpus: spam documents carry planted keywords."""
+def make_corpus(n_docs: int = 200, seed: int = 0) -> list[EmailDocument]:
+    """Separable two-class corpus, half spam: each document has 2-5 sentences
+    of 3-8 words, and spam documents carry 1-3 planted keywords."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x57A7])))
     docs = []
-    n_spam = int(round(n_docs * spam_ratio))
+    n_spam = int(round(n_docs * 0.5))
     labels = np.array([1] * n_spam + [0] * (n_docs - n_spam))
     rng.shuffle(labels)
     for di, label in enumerate(labels):
-        n_sent = int(rng.integers(n_sentences[0], n_sentences[1] + 1))
+        n_sent = int(rng.integers(2, 6))
         sentences = []
         for _ in range(n_sent):
-            n_tok = int(rng.integers(n_tokens[0], n_tokens[1] + 1))
+            n_tok = int(rng.integers(3, 9))
             sentences.append([str(rng.choice(HAM_WORDS)) for _ in range(n_tok)])
         if label == 1:
             for _ in range(int(rng.integers(1, 4))):

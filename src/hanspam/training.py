@@ -41,17 +41,14 @@ class TrainConfig:
 
 
 def cross_entropy(probs: Tensor, labels, weights: np.ndarray | None = None) -> Tensor:
-    """Mean negative log-likelihood; probabilities clamped below at 1e-12.
-
-    Accepts a single probability vector with an integer label, or a
-    ``[docs x 2]`` matrix with a label array. Optional per-document weights
-    produce a weighted mean (weights normalized to sum to the batch size).
+    """Mean negative log-likelihood of ``[docs x classes]`` probabilities
+    against one integer label per document; probabilities clamped below at
+    1e-12. Optional per-document weights produce a weighted mean (weights
+    normalized to sum to the batch size).
     """
-    single = probs.ndim == 1
-    if single:
-        probs = ad.reshape(probs, (1, probs.size))
-        labels = [labels]
     labels = np.asarray(labels, dtype=np.intp)
+    if probs.ndim != 2:
+        raise ValueError(f"probabilities must be [docs x classes], got shape {probs.shape}")
     n, k = probs.shape
     if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must be integers in [0, {k}) with shape ({n},)")
@@ -74,6 +71,10 @@ def inverse_frequency_weights(labels: np.ndarray) -> np.ndarray:
     return 1.0 / counts[labels]
 
 
+# Adam's moment decays and denominator floor (Kingma and Ba, arXiv 1412.6980)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over named tensors, updating only rows seen so far.
 
@@ -86,13 +87,9 @@ class Adam:
     ``np.zeros`` leaves the pages of never-written rows unmapped.
     """
 
-    def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros(t.shape) for name, t in self.params}
         self.v = {name: np.zeros(t.shape) for name, t in self.params}
@@ -114,13 +111,13 @@ class Adam:
             m = self.m[name][rows]
             v = self.v[name][rows]
             data = p.data[rows]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            m_hat = m / (1.0 - _BETA1**t)
+            v_hat = v / (1.0 - _BETA2**t)
+            data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
             self.m[name][rows] = m
             self.v[name][rows] = v
             p.data[rows] = data
@@ -172,7 +169,6 @@ class EpochRecord:
 class TrainResult:
     log: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
-    best_val_auc: float = float("nan")
     steps: int = 0
 
 
@@ -241,7 +237,6 @@ def train(
             last = epoch == cfg.epochs - 1
             best_snapshot = None if last else {k: t.data.copy() for k, t in model.params.items()}
             result.best_epoch = epoch
-            result.best_val_auc = val_auc
             stale = 0
         else:
             stale += 1

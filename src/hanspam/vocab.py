@@ -99,7 +99,6 @@ def build_vocab(documents: Iterable[EmailDocument], min_count: int = 2) -> Vocab
 class PretrainedReport:
     hits: int  # vocabulary rows filled from the file
     misses: int  # vocabulary rows the file does not list
-    file_tokens: int
 
 
 class PretrainedFormatError(ValueError):
@@ -107,17 +106,10 @@ class PretrainedFormatError(ValueError):
 
 
 class EmbeddingTable:
-    """Word rows plus hashed n-gram bucket rows, both held as autodiff tensors."""
+    """Word rows plus hashed n-gram bucket rows, both held as autodiff tensors.
+    A model's geometry comes from its ``HanConfig``, which holds the defaults."""
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        dim: int = 200,
-        n_min: int = 3,
-        n_max: int = 6,
-        buckets: int = 100_000,
-        seed: int = 0,
-    ):
+    def __init__(self, vocab: Vocabulary, dim: int, n_min: int, n_max: int, buckets: int, seed: int):
         self.vocab = vocab
         self.dim = dim
         self.n_min = n_min
@@ -156,13 +148,14 @@ class EmbeddingTable:
 
 def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport:
     """Fill ``table``'s word rows in place from a text-format vector file
-    ("count dim" header) whose dimension is the table's.
+    ("count dim" header) whose dimension is the table's. A vector line is
+    split on single spaces after its trailing whitespace is cut, so a line
+    ending in a space, as word2vec's text output writes, is read.
 
     Vocabulary tokens missing from the file get a zero word row so their
     vectors reduce to the n-gram composition.
     """
     vocab, dim = table.vocab, table.dim
-    file_tokens = 0
     found = np.zeros(len(vocab), dtype=bool)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline()
@@ -178,10 +171,9 @@ def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport
                 f"{path}: file dimension {file_dim} does not match configured {dim}"
             )
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            fields = line.rstrip().split(" ")
+            if fields == [""]:
                 continue
-            file_tokens += 1
-            fields = line.rstrip("\n").split(" ")
             if len(fields) != dim + 1:
                 raise PretrainedFormatError(
                     f"{path}:{lineno}: expected token + {dim} values, got {len(fields)} fields"
@@ -198,42 +190,36 @@ def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport
             found[idx] = True
     table.word.data[2:][~found[2:]] = 0.0
     hits = int(found.sum())
-    return PretrainedReport(hits=hits, misses=len(vocab) - 2 - hits, file_tokens=file_tokens)
+    return PretrainedReport(hits=hits, misses=len(vocab) - 2 - hits)
 
 
 @dataclass
 class EncodedDocument:
-    """Model-ready view: per sentence, aligned word indices / weights / buckets."""
+    """Model-ready view: per sentence, aligned word indices and bucket ids."""
 
     label: int
     word_ids: list[np.ndarray]  # per sentence, int indices (UNK for OOV)
-    word_weight: list[np.ndarray]  # 1.0 when the word row participates, else 0.0
     bucket_ids: list[list[tuple[int, ...]]]
     doc_id: str = ""
-    group: str | None = None
 
     @property
     def n_sentences(self) -> int:
         return len(self.word_ids)
 
+    @property
+    def word_weight(self) -> list[np.ndarray]:
+        """Per sentence, 1.0 where the token's word row participates (an
+        in-vocabulary token) and 0.0 for OOV, ``<pad>`` and ``<unk>``."""
+        return [(ids > UNK).astype(np.float64) for ids in self.word_ids]
+
 
 def encode_document(doc: EmailDocument, vocab: Vocabulary, table: EmbeddingTable) -> EncodedDocument:
     if doc.empty:
         raise VocabError(f"document {doc.doc_id!r} has no tokens to encode")
-    word_ids, word_w, buckets = [], [], []
-    for sentence in doc.sentences:
-        if not sentence:
-            continue
-        ids = np.array([vocab.lookup(t) for t in sentence], dtype=np.intp)
-        w = np.array([1.0 if t in vocab else 0.0 for t in sentence])
-        word_ids.append(ids)
-        word_w.append(w)
-        buckets.append([table.bucket_ids(t) for t in sentence])
+    sentences = [s for s in doc.sentences if s]
     return EncodedDocument(
         label=doc.label,
-        word_ids=word_ids,
-        word_weight=word_w,
-        bucket_ids=buckets,
+        word_ids=[np.array([vocab.lookup(t) for t in s], dtype=np.intp) for s in sentences],
+        bucket_ids=[[table.bucket_ids(t) for t in s] for s in sentences],
         doc_id=doc.doc_id,
-        group=doc.group,
     )

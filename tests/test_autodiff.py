@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,8 @@ from hanspam.autodiff import (
     Tape,
     Tensor,
 )
-from hanspam.gradcheck import check_scalar_fn, finite_difference, relative_error
+from hanspam.gradcheck import check_scalar_fn, finite_difference, relative_error, tiny_model, toy_document
+from hanspam.model import HanModel, collate
 
 
 class TestMatmul:
@@ -298,17 +301,21 @@ class TestBackward:
 class TestElementwise:
     def test_dropout_p0_is_identity(self):
         x = Tensor([1.0, 2.0, 3.0])
-        assert ad.dropout(x, 0.0, training=True) is x
+        assert ad.dropout(x, 0.0) is x
 
     def test_dropout_eval_mode_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert ad.dropout(x, 0.9, training=False) is x
+        # evaluation mode drops nothing, whatever rate the config sets
+        base = tiny_model("cnn")
+        dropping = HanModel(replace(base.config, dropout=0.9), base.vocab, seed=0)
+        batch = collate([toy_document(base)])
+        expected = base.forward_batch(batch, training=False)[0].data
+        assert np.array_equal(dropping.forward_batch(batch, training=False, step=5)[0].data, expected)
 
     def test_dropout_seed_step_determinism(self):
         x = Tensor(np.ones(1000))
-        a = ad.dropout(x, 0.5, seed=3, step=7, salt=1, training=True).data
-        b = ad.dropout(x, 0.5, seed=3, step=7, salt=1, training=True).data
-        c = ad.dropout(x, 0.5, seed=3, step=8, salt=1, training=True).data
+        a = ad.dropout(x, 0.5, seed=3, step=7, salt=1).data
+        b = ad.dropout(x, 0.5, seed=3, step=7, salt=1).data
+        c = ad.dropout(x, 0.5, seed=3, step=8, salt=1).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         survivors = a[a != 0]
@@ -316,9 +323,9 @@ class TestElementwise:
 
     def test_dropout_rate_out_of_range(self):
         with pytest.raises(ParameterError):
-            ad.dropout(Tensor([1.0]), 1.0, training=True)
+            ad.dropout(Tensor([1.0]), 1.0)
         with pytest.raises(ParameterError):
-            ad.dropout(Tensor([1.0]), -0.1, training=True)
+            ad.dropout(Tensor([1.0]), -0.1)
 
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)

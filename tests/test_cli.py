@@ -134,6 +134,16 @@ class TestTrainEval:
 
         assert stable_log(outs[0] / "epochs.jsonl") == stable_log(outs[1] / "epochs.jsonl")
 
+    def test_run_reproduces_from_its_config_snapshot(self, tmp_path, corpus_dir):
+        cfg = write_config(tmp_path / "cfg.json")
+        first, second = tmp_path / "first", tmp_path / "second"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(first),
+                   "--seed", "4", "--epochs", "1", "--batch", "6", "--variant", "tcn"])
+        assert rc == EXIT_OK
+        rc = main(["train", "--config", str(first / "config_snapshot.json"), "--out", str(second)])
+        assert rc == EXIT_OK
+        assert (first / "checkpoint.bin").read_bytes() == (second / "checkpoint.bin").read_bytes()
+
     def test_eval_constant_stub_checkpoint_gives_half_auc(self, tmp_path, corpus_dir, capsys):
         docs = make_corpus(n_docs=12, seed=2)
         vocab = build_vocab(docs, min_count=1)
@@ -244,12 +254,17 @@ class TestSkipsAndHoldout:
             datasets={"a": {"path": str(corpus_dir)}, "b": {"path": str(other)}},
             eval={"kfold": 2, "expected_datasets": 2},
         )
-        (other / "ham" / "empty.txt").write_text("Subject: nothing\n\n\n", encoding="utf-8")
+        empty = other / "ham" / "empty.txt"
+        empty.write_text("Subject: nothing\n\n\n", encoding="utf-8")
         rc = main(["cross", "--config", str(cfg), "--out", str(tmp_path / "cross"), "--epochs", "1"])
         assert rc == EXIT_OK
         err = capsys.readouterr().err
         assert "skipped 1 unreadable files" in err
         assert f"skipped 1 empty documents under {other}" in err
+        # every dataset's skips, in dataset name order
+        lines = (tmp_path / "cross" / "skip_report.txt").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == [str(unreadable), str(empty)]
+        assert "Permission denied" in lines[0] and lines[1].endswith("\tempty")
 
     def test_eval_reports_empty_documents(self, tmp_path, corpus_dir, capsys):
         empty = corpus_dir / "spam" / "empty.txt"
@@ -458,6 +473,29 @@ class TestExitCodes:
     )
     def test_bad_train_config_is_input_error(self, tmp_path, corpus_dir, capsys, train, message):
         cfg = write_config(tmp_path / "cfg.json", train={"batch_size": 8, "epochs": 1, "min_count": 1, **train})
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": "abc"}, 'seed must be an integer, got "abc"'),
+            ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+            ({"seed": True}, "seed must be an integer, got true"),
+            ({"eval": {"kfold": "ten"}}, 'eval kfold must be an integer >= 2, got "ten"'),
+            ({"eval": {"kfold": 2.9}}, "eval kfold must be an integer >= 2, got 2.9"),
+            ({"eval": {"kfold": 1}}, "eval kfold must be an integer >= 2, got 1"),
+            ({"eval": {"expected_datasets": -1}}, "eval expected_datasets must be an integer >= 0, got -1"),
+            ({"eval": {"folds": 3}}, "unknown eval config key(s): folds"),
+        ],
+        ids=["string_seed", "fractional_seed", "bool_seed", "string_kfold", "fractional_kfold",
+             "one_fold", "negative_expected", "unknown_eval_key"],
+    )
+    def test_bad_seed_or_eval_config_is_input_error(self, tmp_path, corpus_dir, capsys, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
         assert rc == EXIT_INPUT

@@ -36,7 +36,6 @@ class TestConfusionMetrics:
         assert m.precision == pytest.approx(5 / 6)
         assert m.recall == pytest.approx(5 / 6)
         assert m.f1 == pytest.approx(5 / 6)
-        assert not m.degenerate
 
     def test_perfect_classification(self):
         m = confusion_metrics(ConfusionCounts(tp=7, fp=0, tn=9, fn=0))
@@ -46,7 +45,7 @@ class TestConfusionMetrics:
         m = confusion_metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=3))
         assert m.precision == 0.0
         assert m.recall == 0.0
-        assert "precision" in m.degenerate
+        assert m.f1 == 0.0
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(ValueError):

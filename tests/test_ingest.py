@@ -40,10 +40,15 @@ class TestParseEmail:
         assert email.headers == {}
 
     def test_undecodable_bytes_flagged_not_dropped(self):
-        email = parse_email(b"Subject: x\n\nhi \xff\xfe\x9d there")
-        assert email.had_decode_errors is False or email.body_text  # latin-1 fallback decodes
+        # bytes that are not UTF-8 are read as Latin-1, every byte kept, and flagged
+        latin = parse_email(b"Subject: x\n\nhi \xff\xfe there")
+        assert latin.had_decode_errors is True
+        assert latin.body_text == "hi \u00ff\u00fe there"
+        utf8 = parse_email("Subject: x\n\nhi \u00ff\u00fe there".encode("utf-8"))
+        assert utf8.had_decode_errors is False
+        assert utf8.body_text == latin.body_text
         hard = parse_email("héllo".encode("utf-16"))
-        assert hard.body_text  # replacement characters, still text
+        assert hard.had_decode_errors is True and hard.body_text
 
     def test_continuation_headers(self):
         email = parse_email(b"Subject: one\n  two\nFrom: a@b\n\nbody")

@@ -582,7 +582,6 @@ class TestForward:
         hollow = EncodedDocument(
             label=0,
             word_ids=[doc.word_ids[0], np.zeros(0, dtype=np.intp)],
-            word_weight=[doc.word_weight[0], np.zeros(0)],
             bucket_ids=[doc.bucket_ids[0], []],
             doc_id="msg-4",
         )
@@ -593,7 +592,7 @@ class TestForward:
         model = small_model()
         from hanspam.vocab import EncodedDocument
 
-        empty = EncodedDocument(label=0, word_ids=[], word_weight=[], bucket_ids=[], doc_id="msg-9")
+        empty = EncodedDocument(label=0, word_ids=[], bucket_ids=[], doc_id="msg-9")
         with pytest.raises(ValueError, match="msg-9"):
             model.forward_document(empty)
 

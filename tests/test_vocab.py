@@ -10,6 +10,7 @@ from hanspam.vocab import (
     UNK,
     EmbeddingTable,
     PretrainedFormatError,
+    PretrainedReport,
     VocabError,
     build_vocab,
     char_ngrams,
@@ -119,19 +120,18 @@ class TestLoadPretrained:
         vocab = build_vocab([doc("a a")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3]), ("b", [4, 5, 6])])
-        table = EmbeddingTable(vocab, dim=3, buckets=7)
+        table = EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0)
         report = load_pretrained(path, table)
         assert report.hits == 1
-        assert report.file_tokens == 2
         assert np.array_equal(table.word.data[vocab.lookup("a")], [1.0, 2.0, 3.0])
 
     def test_repeated_token_counts_one_hit(self, tmp_path):
         vocab = build_vocab([doc("a b c")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3]), ("a", [4, 5, 6]), ("a", [7, 8, 9]), ("b", [0, 0, 1])])
-        table = EmbeddingTable(vocab, dim=3, buckets=7)
+        table = EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0)
         report = load_pretrained(path, table)
-        assert (report.hits, report.misses, report.file_tokens) == (2, 1, 4)
+        assert (report.hits, report.misses) == (2, 1)
         assert np.array_equal(table.word.data[vocab.lookup("a")], [7.0, 8.0, 9.0])  # the last listing wins
 
     def test_dim_mismatch(self, tmp_path):
@@ -139,20 +139,29 @@ class TestLoadPretrained:
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3])])
         with pytest.raises(PretrainedFormatError, match="dimension"):
-            load_pretrained(path, EmbeddingTable(vocab, dim=200, buckets=7))
+            load_pretrained(path, EmbeddingTable(vocab, dim=200, n_min=3, n_max=6, buckets=7, seed=0))
 
     def test_malformed_line_reports_number(self, tmp_path):
         vocab = build_vocab([doc("a")], min_count=1)
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1 2 3\nb 1 2\n", encoding="utf-8")
         with pytest.raises(PretrainedFormatError, match=":3:"):
-            load_pretrained(path, EmbeddingTable(vocab, dim=3, buckets=7))
+            load_pretrained(path, EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0))
+
+    def test_vector_line_ending_in_a_space_loads(self, tmp_path):
+        # word2vec's text output ends every vector line with a space
+        vocab = build_vocab([doc("ab")], min_count=1)
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 3\nab 1 2 3 \n", encoding="utf-8")
+        table = EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0)
+        assert load_pretrained(path, table) == PretrainedReport(hits=1, misses=0)
+        assert np.array_equal(table.word.data[vocab.lookup("ab")], [1.0, 2.0, 3.0])
 
     def test_missing_token_falls_back_to_gram_mean(self, tmp_path):
         vocab = build_vocab([doc("ab xy")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 4, [("ab", [1, 1, 1, 1])])
-        table = EmbeddingTable(vocab, dim=4, n_min=3, n_max=3, buckets=11)
+        table = EmbeddingTable(vocab, dim=4, n_min=3, n_max=3, buckets=11, seed=0)
         report = load_pretrained(path, table)
         assert report.misses == 1
         ids = [fnv1a64(g.encode()) % 11 for g in char_ngrams("xy", 3, 3)]
@@ -167,6 +176,13 @@ class TestEncodeDocument:
         assert enc.word_ids[0].tolist() == [table.vocab.lookup("ab"), UNK]
         assert enc.word_weight[0].tolist() == [1.0, 0.0]
         assert len(enc.bucket_ids[0][1]) == len(char_ngrams("qq", 3, 3))
+
+    def test_word_weight_is_one_for_vocabulary_words_only(self, table):
+        d = EmailDocument(label=0, sentences=[["ab", "qq", "<pad>", "<unk>", "cd"], ["<unk>"]])
+        enc = encode_document(d, table.vocab, table)
+        assert [w.tolist() for w in enc.word_weight] == [[1.0, 0.0, 0.0, 0.0, 1.0], [0.0]]
+        for weights, ids in zip(enc.word_weight, enc.word_ids):
+            assert np.array_equal(weights, ids > UNK)
 
     def test_empty_document_rejected(self, table):
         with pytest.raises(VocabError):
