@@ -6,6 +6,9 @@ gradient checking needs the headroom. A ``Tape`` records operations in forward
 (topological) order; ``backward`` replays the local rules in reverse and
 accumulates into ``Tensor.grad`` of the leaves only, made on first use. Sparse
 row gradients keep an embedding lookup from making a table-sized dense array.
+A whole bidirectional GRU is one op, ``bigru``: its rule runs backprop
+through time in numpy, so the tape holds one entry per BiGRU, not one per
+step and gate.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "tmean",
     "softmax",
     "dilated_conv1d",
+    "bigru",
     "dropout",
     "dropout_mask",
     "embedding_lookup",
@@ -238,12 +242,16 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` goes on the tape: one is active and an input needs a gradient."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: tuple[Tensor, ...], out_data: Array, rule) -> Tensor:
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
-        tape.entries.append(TapeEntry(inputs, out, rule))
+        _active_tape().entries.append(TapeEntry(inputs, out, rule))
     return out
 
 
@@ -287,6 +295,14 @@ def sub(a, b) -> Tensor:
 _MATMUL_ROWS = 2**13
 
 
+def _rows_matmul(a: Array, b: Array) -> Array:
+    """``a @ b`` for a 2-D ``a``, ``_MATMUL_ROWS`` rows of it per BLAS call, into one new array."""
+    out = np.empty(a.shape[:1] + b.shape[1:])
+    for lo in range(0, a.shape[0], _MATMUL_ROWS):
+        np.matmul(a[lo : lo + _MATMUL_ROWS], b, out=out[lo : lo + _MATMUL_ROWS])
+    return out
+
+
 def matmul(a, b) -> Tensor:
     """Matrix/vector product with numpy semantics for 1-D and 2-D operands."""
     a, b = _wrap(a), _wrap(b)
@@ -294,12 +310,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    if a.ndim == 2:
-        out = np.empty(a.shape[:1] + b.shape[1:])
-        for lo in range(0, a.shape[0], _MATMUL_ROWS):
-            np.matmul(a.data[lo : lo + _MATMUL_ROWS], b.data, out=out[lo : lo + _MATMUL_ROWS])
-    else:
-        out = a.data @ b.data
+    out = _rows_matmul(a.data, b.data) if a.ndim == 2 else a.data @ b.data
 
     def rule(g):
         ad, bd = a.data, b.data
@@ -324,11 +335,15 @@ def tanh(x) -> Tensor:
     return _record((x,), y, rule)
 
 
+def _logistic(d: Array) -> Array:
+    """``1 / (1 + exp(-d))`` without overflow: ``exp`` only sees ``-|d|``, and -inf gives exactly 0."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
-    d = x.data
-    e = np.exp(-np.abs(d))
-    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _logistic(x.data)
 
     def rule(g):
         return (g * y * (1.0 - y),)
@@ -537,6 +552,104 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
         return gx.reshape(x.shape), gf.reshape(f.shape)
 
     return _record((x, f), out.reshape(length) if vector else out, rule)
+
+
+def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
+    """Bidirectional GRU over ``x[steps, rows, in]`` as one tape entry.
+
+    Returns ``[steps, rows, 2*hidden]``: per step, the state of the direction
+    that runs forward, then that of the one that runs from the last step
+    back, each from a zero state. A direction's ``w`` is ``[in, 3*hidden]``,
+    ``b`` ``[3*hidden]`` and ``u`` ``[hidden, 3*hidden]``, gate blocks in
+    z|r|h order. With ``p = x_t @ w + b`` split the same way, a step is::
+
+        z = sigmoid(p_z + h @ u_z)      r = sigmoid(p_r + h @ u_r)
+        c = tanh(p_h + (r * h) @ u_h)   h = (1 - z) * h + z * c
+
+    ``mask`` (``[rows, steps]``; None means every step is real) sets z to
+    exactly 0 on a padded step, so the state carries over unchanged. The
+    input projection is one GEMM per direction over all steps, and only the
+    ``h @ u`` products run per step (the fused recurrent kernel of Appleyard
+    et al., arXiv 1604.01946). z, r and c are kept only while a tape
+    records; the rule is one backprop-through-time loop per direction.
+    """
+    x = _wrap(x)
+    params = tuple(_wrap(p) for p in (w_fw, b_fw, u_fw, w_bw, b_bw, u_bw))
+    if x.ndim != 3 or x.shape[0] < 1:
+        raise ShapeError(f"bigru expects x[steps >= 1, rows, in], got {x.shape}")
+    steps, rows, in_dim = x.shape
+    n = params[2].shape[0]
+    directions = (params[:3], params[3:])
+    for w, b, u in directions:
+        if w.shape != (in_dim, 3 * n) or b.shape != (3 * n,) or u.shape != (n, 3 * n):
+            raise ShapeError(
+                f"bigru expects w[{in_dim}, 3u], b[3u] and u[u, 3u] with u = {n}, got {w.shape}, {b.shape}, {u.shape}"
+            )
+    if mask is not None and np.shape(mask) != (rows, steps):
+        raise ShapeError(f"bigru expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}")
+    keep = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]
+    orders = (range(steps), range(steps - 1, -1, -1))
+    record = _recording((x, *params))
+    flat = x.data.reshape(steps * rows, in_dim)
+    out = np.empty((steps, rows, 2 * n))
+    gates = []  # per direction while recording: z, r and c, each [steps, rows, n]
+
+    for d, (w, b, u) in enumerate(directions):
+        proj = _rows_matmul(flat, w.data)
+        proj += b.data
+        proj = proj.reshape(steps, rows, 3 * n)
+        u_zr, u_h = u.data[:, : 2 * n], u.data[:, 2 * n :]
+        saved = np.empty((3, steps, rows, n)) if record else None
+        h = np.zeros((rows, n))
+        for t in orders[d]:
+            zr = _logistic(proj[t, :, : 2 * n] + h @ u_zr)
+            z, r = zr[:, :n], zr[:, n:]
+            if keep is not None:
+                z = z * keep[t]
+            c = np.tanh(proj[t, :, 2 * n :] + (r * h) @ u_h)
+            h = (1.0 - z) * h + z * c
+            out[t, :, d * n : (d + 1) * n] = h
+            if record:
+                saved[:, t] = z, r, c
+        del proj
+        gates.append(saved)
+
+    def rule(g):
+        gx, grads = None, []
+        for d, (w, b, u) in enumerate(directions):
+            z, r, c = gates[d]
+            states = out[:, :, d * n : (d + 1) * n]
+            prev = np.zeros_like(states)  # the state each step starts from
+            if d == 0:
+                prev[1:] = states[:-1]
+            else:
+                prev[:-1] = states[1:]
+            u_zr_t, u_h_t = u.data[:, : 2 * n].T, u.data[:, 2 * n :].T
+            g_proj = np.empty((steps, rows, 3 * n))
+            gh = np.zeros((rows, n))
+            for t in reversed(orders[d]):
+                gh = gh + g[t, :, d * n : (d + 1) * n]
+                zt, rt, ct, hp = z[t], r[t], c[t], prev[t]
+                g_pre = g_proj[t]
+                g_pre[:, :n] = gh * (ct - hp) * (zt * (1.0 - zt))
+                g_pre[:, 2 * n :] = gh * zt * (1.0 - ct * ct)
+                g_rh = g_pre[:, 2 * n :] @ u_h_t
+                g_pre[:, n : 2 * n] = g_rh * hp * (rt * (1.0 - rt))
+                gh = gh * (1.0 - zt) + g_rh * rt + g_pre[:, : 2 * n] @ u_zr_t
+            g_flat = g_proj.reshape(steps * rows, 3 * n)
+            if gx is None:
+                gx = g_flat @ w.data.T
+            else:
+                gx += g_flat @ w.data.T
+            prev = prev.reshape(steps * rows, n)
+            g_u = np.concatenate(
+                [prev.T @ g_flat[:, : 2 * n], (r.reshape(steps * rows, n) * prev).T @ g_flat[:, 2 * n :]],
+                axis=1,
+            )
+            grads += [flat.T @ g_flat, g_flat.sum(axis=0), g_u]
+        return (gx.reshape(x.shape), *grads)
+
+    return _record((x, *params), out, rule)
 
 
 def dropout_mask(shape, p: float, seed: int, step: int, salt: int = 0) -> Array:

@@ -70,9 +70,11 @@ def _load_config_file(path: str | None) -> dict:
 
 
 # config key: (type, valid value?, what a valid value is); "" is the top
-# level, where only the seed is checked
+# level and "data" the corpus section, where only the seed and the
+# include_subject switch are checked
 _KEYS = {
     "": {"seed": (int, lambda v: True, "an integer")},
+    "data": {"include_subject": (bool, lambda v: True, "true or false")},
     "train": {
         "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
         "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
@@ -98,7 +100,7 @@ def _check_section(name: str, section: dict) -> None:
         raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
     for key, value in section.items():
         kind, valid, want = keys[key]
-        # bool is an int subclass: only class_weight takes one
+        # bool is an int subclass: only the switches take one
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not valid(value):
             raise ConfigError(f"{name} {key} must be {want}, got {json.dumps(value)}".lstrip())
 
@@ -130,6 +132,7 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
         ("out", ("out",)),
         ("data", ("data", "path")),
         ("layout", ("data", "layout")),
+        ("include_subject", ("data", "include_subject")),
         ("variant", ("model", "variant")),
         ("epochs", ("train", "epochs")),
         ("batch", ("train", "batch_size")),
@@ -141,6 +144,8 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
     _check_section("", {"seed": cfg["seed"]})
+    cfg["data"].setdefault("include_subject", False)
+    _check_section("data", {"include_subject": cfg["data"]["include_subject"]})
     _check_section("train", cfg["train"])
     _check_section("eval", cfg["eval"])
     model_cfg = {k: v for k, v in cfg["model"].items() if k != "pretrained_vectors"}
@@ -236,7 +241,7 @@ def _train_on_documents(
 def cmd_stats(args) -> int:
     cfg, _ = _merge_config(args)
     loaded = _load_data(cfg["data"])
-    stats = corpus_stats(loaded.emails, include_subject=args.include_subject)
+    stats = corpus_stats(loaded.emails, include_subject=cfg["data"]["include_subject"])
     print(render_stats(stats))
     if args.out:
         out = _out_dir(cfg)
@@ -254,7 +259,7 @@ def cmd_train(args) -> int:
     _snapshot(cfg, out)
     seed = cfg["seed"]
 
-    kept, skipped = _ingest(cfg["data"], config, args.include_subject)
+    kept, skipped = _ingest(cfg["data"], config, cfg["data"]["include_subject"])
     labels = np.array([d.label for d in kept])
     train_idx, val_idx = _stratified_holdout(labels, cfg["train"].get("val_fraction", 0.1), seed)
     train_docs = [kept[i] for i in train_idx]
@@ -283,7 +288,7 @@ def cmd_eval(args) -> int:
     cfg, _ = _merge_config(args)
     model = HanModel.load(args.checkpoint)
     # cut documents at the caps the checkpoint was trained with
-    kept, skipped = _ingest(cfg["data"], model.config, args.include_subject)
+    kept, skipped = _ingest(cfg["data"], model.config, cfg["data"]["include_subject"])
     encoded = model.encode(kept)
     scores = model.score(encoded)
     labels = np.array([d.label for d in kept])
@@ -314,7 +319,7 @@ def cmd_cross(args) -> int:
         diagonal = entry.get("diagonal", "cv")
         if diagonal not in DIAGONAL_PROTOCOLS:
             raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
-        docs, dataset_skipped = _ingest(entry, config, args.include_subject)
+        docs, dataset_skipped = _ingest(entry, config, cfg["data"]["include_subject"])
         skipped += dataset_skipped
         specs.append(
             DatasetSpec(
@@ -416,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--include-subject", action="store_true",
-                       help="prepend the Subject line to the classified text")
+        p.add_argument("--include-subject", action="store_true", default=None,
+                       help="prepend the Subject line to the classified text (config: data.include_subject)")
         if data:
             p.add_argument("--data", default=None, help="corpus root directory")
             p.add_argument("--layout", default=None,

@@ -173,7 +173,7 @@ def check_stack() -> float:
     for axis in (0, 1, 2):
         worst = max(worst, check_scalar_fn(lambda: _weighted(ad.stack(parts, axis), _rng(121)), parts))
     x = _param(rng, 4, 2, 3)
-    # each step read back by a scalar take_rows index, as bigru_encode does
+    # each step read back by a scalar take_rows index
     slices = lambda: ad.concat([ad.take_rows(x, t) for t in range(4)], axis=1)
     return max(worst, check_scalar_fn(lambda: _weighted(slices(), _rng(122)), [x]))
 
@@ -227,6 +227,17 @@ def check_bigru() -> float:
     fw, bw = _toy_gru(rng, 3, 4), _toy_gru(rng, 3, 4)
     build = lambda: _weighted(bigru_encode(x, mask, fw, bw), _rng(81))
     return check_scalar_fn(build, [x] + _gru_tensors(fw) + _gru_tensors(bw))
+
+
+def check_fused_bigru() -> float:
+    """``ad.bigru`` with in 3 and hidden 2. Row 0's padded tail makes the
+    reverse scan start on padding; row 1 has one real step."""
+    rng = _rng(14)
+    x = _param(rng, 5, 3, 3)
+    mask = np.array([[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
+    weights = [_param(rng, *shape) for _ in range(2) for shape in ((3, 6), (6,), (2, 6))]
+    build = lambda: _weighted(ad.bigru(x, mask, *weights), _rng(141))
+    return check_scalar_fn(build, [x] + weights)
 
 
 def check_attention_pool() -> float:
@@ -368,6 +379,7 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
     ("stack", check_stack),
     ("transpose", check_transpose),
     ("embedding_lookup", check_embedding_lookup),
+    ("bigru", check_fused_bigru),
     ("bigru_encode", check_bigru),
     ("attention_pool", check_attention_pool),
     ("conv_feature_stack", check_conv_stack),

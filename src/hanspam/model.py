@@ -11,11 +11,11 @@ tensor: words from the embedding lookup through the convolutional stack, the
 word BiGRU and word attention, with one row per real sentence of the batch;
 then sentences, gathered from those rows into ``[S, docs, dim]`` with padding
 slots reading a zero row, through the sentence BiGRU and attention. Every
-convolution is ``autodiff.dilated_conv1d``; only a GRU's state update runs
-step by step. Padding is one additive bias per sequence op: -inf on a padded
-step's GRU update gate carries the state over, and on its attention score
-gives it weight 0. The whole model composes from differentiable primitives,
-so every part stays gradient-checkable.
+convolution is ``autodiff.dilated_conv1d`` and every BiGRU one
+``autodiff.bigru``, whose update gate is exactly 0 on a padded step, so the
+state carries over. Attention turns padding into an additive bias, -inf on a
+padded step's score, which gives it weight 0. The whole model composes from
+differentiable primitives, so every part stays gradient-checkable.
 """
 
 from __future__ import annotations
@@ -158,10 +158,14 @@ class Dropout:
 NO_DROPOUT = Dropout()
 
 
-def _padding_bias(mask: np.ndarray | None, rows: int, steps: int, op: str) -> np.ndarray | None:
-    """Additive ``[rows, steps]`` bias: 0 at a real step, -inf at padding; None without a mask."""
+def _check_mask(mask: np.ndarray | None, rows: int, steps: int, op: str) -> None:
     if mask is not None and np.shape(mask) != (rows, steps):
         raise ad.ShapeError(f"{op} expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}")
+
+
+def _padding_bias(mask: np.ndarray | None, rows: int, steps: int) -> np.ndarray | None:
+    """Additive ``[rows, steps]`` attention bias: 0 at a real step, -inf at padding; None without a mask."""
+    _check_mask(mask, rows, steps, "attention_pool")
     return None if mask is None else np.where(mask, 0.0, -np.inf)
 
 
@@ -174,39 +178,21 @@ def bigru_encode(
     """Annotations ``[steps, rows, 2*hidden]``: ``[fwd_state; bwd_state]`` per step.
 
     ``x`` is ``[steps, rows, in]`` and ``mask`` ``[rows, steps]``; a masked
-    step's update gate is ``sigmoid(-inf) = 0``, so it holds state. Each
-    gate's input projection, bias included, is one matmul over all steps, so
-    only ``h @ u_*`` runs inside the recurrence (Appleyard et al., arXiv
-    1604.01946).
+    step holds its state. Both directions run as one ``ad.bigru`` op; each
+    direction's gate blocks are joined in z|r|h order at call time, so the
+    parameters stay one tensor per gate.
     """
     if x.ndim != 3 or x.shape[0] < 1 or any(x.shape[2] != g.w_z.shape[0] for g in (forward, backward)):
         raise ad.ShapeError(
             f"bigru_encode expects x[steps >= 1, rows, in] with in = {forward.w_z.shape[0]}, got x{x.shape}"
         )
-    steps, rows, in_dim = x.shape
-    flat = ad.reshape(x, (steps * rows, in_dim))
-    bias = _padding_bias(mask, rows, steps, "bigru_encode")
-
-    def run(g: GruParams, order) -> Tensor:
-        hidden = g.u_z.shape[0]
-        xz, xr, xh = (
-            ad.reshape(flat @ w + b, (steps, rows, hidden))
-            for w, b in ((g.w_z, g.b_z), (g.w_r, g.b_r), (g.w_h, g.b_h))
-        )
-        if bias is not None:
-            xz = ad.add(xz, bias.T[:, :, None])
-        h = Tensor(np.zeros((rows, hidden)))
-        states: list[Tensor | None] = [None] * steps
-        for t in order:
-            z = ad.sigmoid(ad.take_rows(xz, t) + h @ g.u_z)
-            r = ad.sigmoid(ad.take_rows(xr, t) + h @ g.u_r)
-            cand = ad.tanh(ad.take_rows(xh, t) + ad.mul(r, h) @ g.u_h)
-            h = states[t] = ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
-        return ad.stack(states)
-
-    fwd = run(forward, range(steps))
-    bwd = run(backward, reversed(range(steps)))
-    return ad.concat([fwd, bwd], axis=2)
+    _check_mask(mask, x.shape[1], x.shape[0], "bigru_encode")
+    joined = (
+        ad.concat([getattr(g, f"{kind}_{gate}") for gate in "zrh"], axis=-1)
+        for g in (forward, backward)
+        for kind in ("w", "b", "u")
+    )
+    return ad.bigru(x, mask, *joined)
 
 
 def attention_pool(
@@ -226,7 +212,7 @@ def attention_pool(
     if annotations.ndim != 3 or annotations.shape[0] < 1:
         raise ad.ShapeError(f"attention_pool expects [steps >= 1, rows, dim], got {annotations.shape}")
     steps, rows, dim = annotations.shape
-    bias = _padding_bias(mask, rows, steps, "attention_pool")
+    bias = _padding_bias(mask, rows, steps)
     flat = ad.reshape(annotations, (steps * rows, dim))
     scores = ad.transpose(ad.reshape(ad.tanh(flat @ w + b) @ context, (steps, rows)), (1, 0))
     alpha = ad.softmax(scores if bias is None else ad.add(scores, bias))

@@ -204,6 +204,24 @@ class TestDilatedConv:
             ad.dilated_conv1d(Tensor([1.0, 2.0]), Tensor([1.0]), mode="full")
 
 
+class TestBigru:
+    """``ad.bigru`` on its own; ``tests/test_model.py`` checks it against a per-step GRU."""
+
+    def test_gradients_match_finite_differences(self):
+        from hanspam.gradcheck import check_fused_bigru
+
+        assert check_fused_bigru() < 1e-4
+
+    def test_shape_errors(self):
+        x, w, b, u = np.ones((4, 2, 3)), np.ones((3, 6)), np.ones(6), np.ones((2, 6))
+        with pytest.raises(ShapeError, match="x\\[steps >= 1, rows, in\\]"):
+            ad.bigru(np.ones((4, 3)), None, w, b, u, w, b, u)
+        with pytest.raises(ShapeError, match="with u = 2"):
+            ad.bigru(x, None, w, b, u, w, np.ones(4), u)
+        with pytest.raises(ShapeError, match=r"mask\[rows, steps\] = \[2, 4\]"):
+            ad.bigru(x, np.ones((4, 2), dtype=bool), w, b, u, w, b, u)
+
+
 class TestStack:
     def test_stack_and_unstack_round_trip(self):
         parts = [Tensor(np.full((2, 3), float(i)), requires_grad=True) for i in range(4)]

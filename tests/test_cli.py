@@ -134,11 +134,12 @@ class TestTrainEval:
 
         assert stable_log(outs[0] / "epochs.jsonl") == stable_log(outs[1] / "epochs.jsonl")
 
-    def test_run_reproduces_from_its_config_snapshot(self, tmp_path, corpus_dir):
+    @pytest.mark.parametrize("flags", [[], ["--include-subject"]], ids=["plain", "include_subject"])
+    def test_run_reproduces_from_its_config_snapshot(self, tmp_path, corpus_dir, flags):
         cfg = write_config(tmp_path / "cfg.json")
         first, second = tmp_path / "first", tmp_path / "second"
         rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(first),
-                   "--seed", "4", "--epochs", "1", "--batch", "6", "--variant", "tcn"])
+                   "--seed", "4", "--epochs", "1", "--batch", "6", "--variant", "tcn", *flags])
         assert rc == EXIT_OK
         rc = main(["train", "--config", str(first / "config_snapshot.json"), "--out", str(second)])
         assert rc == EXIT_OK
@@ -490,9 +491,10 @@ class TestExitCodes:
             ({"eval": {"kfold": 1}}, "eval kfold must be an integer >= 2, got 1"),
             ({"eval": {"expected_datasets": -1}}, "eval expected_datasets must be an integer >= 0, got -1"),
             ({"eval": {"folds": 3}}, "unknown eval config key(s): folds"),
+            ({"data": {"include_subject": 1}}, "data include_subject must be true or false, got 1"),
         ],
         ids=["string_seed", "fractional_seed", "bool_seed", "string_kfold", "fractional_kfold",
-             "one_fold", "negative_expected", "unknown_eval_key"],
+             "one_fold", "negative_expected", "unknown_eval_key", "int_include_subject"],
     )
     def test_bad_seed_or_eval_config_is_input_error(self, tmp_path, corpus_dir, capsys, overrides, message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
