@@ -4,8 +4,9 @@ The op set is deliberately small: exactly what a hierarchical GRU/attention
 classifier with convolutional feature stacks needs. All arithmetic is 64-bit;
 gradient checking needs the headroom. A ``Tape`` records operations in forward
 (topological) order; ``backward`` replays the local rules in reverse and
-accumulates into ``Tensor.grad`` of the leaves only, made on first use. Sparse
-row gradients keep an embedding lookup from making a table-sized dense array.
+accumulates into ``Tensor.grad`` of the leaves only, made on first use. A leaf
+reached only by row gradients (an embedding table) gets a ``RowSet``, its
+touched rows only, so no table-sized gradient is ever made.
 A whole bidirectional GRU is one op, ``bigru``: its rule runs backprop
 through time in numpy, so the tape holds one entry per BiGRU, not one per
 step and gate.
@@ -25,6 +26,9 @@ __all__ = [
     "ShapeError",
     "ParameterError",
     "EmptyAttentionError",
+    "RowSet",
+    "coalesce_rows",
+    "dense_grad",
     "backward",
     "add",
     "mul",
@@ -69,9 +73,10 @@ class Tensor:
     """A dense float64 array plus, on leaves, a gradient accumulator.
 
     ``requires_grad`` marks trainable leaves; outputs of recorded operations
-    inherit it but never hold a ``grad``. A leaf's ``grad`` is None until
-    ``zero_grad`` or a backward reaching it makes one with ``np.zeros`` (rows
-    never written stay unmapped); ``zero_grad`` then refills it in place.
+    inherit it but never hold a ``grad``. A leaf's ``grad`` is None until a
+    backward reaches it, and ``zero_grad`` sets it back to None. The backward
+    makes a ``RowSet`` if only row gradients reach the leaf, and a dense array
+    otherwise.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -79,7 +84,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
+        self.grad: Array | RowSet | None = None
         self.name = name
 
     @property
@@ -98,10 +103,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-        elif self.requires_grad:
-            self.grad = np.zeros(self.shape)
+        self.grad = None
 
     # operator sugar; constants are wrapped on the fly
     def __add__(self, other):
@@ -133,11 +135,49 @@ class Tensor:
 
 @dataclass
 class SparseRows:
-    """Gradient on some slices along axis 0 only: ``np.add.at(dense, idx, val)``, any ``idx`` shape."""
+    """Gradient on some slices along axis 0 only: ``np.add.at(zeros, idx, val)``, any ``idx`` shape."""
 
     idx: Array
     val: Array
     shape: tuple[int, ...]
+
+
+@dataclass
+class RowSet(SparseRows):
+    """Coalesced row gradient: ``idx`` holds sorted distinct ids and ``val[i]``
+    the summed row ``idx[i]``; every other row is zero. Made by ``coalesce_rows``."""
+
+
+def coalesce_rows(idx, val: Array, shape: tuple[int, ...], src: Array | None = None) -> RowSet:
+    """Sum the rows that share an id, bitwise as ``np.add.at`` into zeros does.
+
+    Occurrence ``j`` (``idx`` flattened) adds ``val[src[j]]``, or ``val[j]``
+    without ``src``, to row ``idx[j]``. A stable sort lists each id's
+    occurrences in their original order, and pass ``k`` adds the ``k``-th
+    occurrence of every id that has one, so each row is summed in occurrence
+    order starting from 0.0.
+    """
+    idx = np.asarray(idx, dtype=np.intp).ravel()
+    val = val.reshape(-1, *shape[1:])
+    order = np.argsort(idx, kind="stable")
+    ids = idx[order]
+    first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]]) if idx.size else np.zeros(0, np.intp)
+    counts = np.diff(np.r_[first, idx.size])
+    if src is not None:
+        order = src[order]
+    out = val[order[first]]
+    out += 0.0  # pass 0 adds to 0.0 as add.at does, which turns a lone -0.0 into +0.0
+    for k in range(1, counts.max(initial=0)):
+        has = np.flatnonzero(counts > k)
+        out[has] += val[order[first[has] + k]]
+    return RowSet(ids[first], out, shape)
+
+
+def dense_grad(t: "Tensor") -> Array:
+    """``t``'s gradient as one array: zeros if it has none, a row set's rows added into zeros."""
+    if t.grad is None:
+        return np.zeros(t.shape)
+    return _sum_parts([t.grad]) if isinstance(t.grad, SparseRows) else t.grad
 
 
 @dataclass
@@ -194,8 +234,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     A leaf is a tensor that requires grad and is not the output of any entry
     on ``tape``; recorded intermediates get no ``grad``. Each tensor's
     incoming gradient parts are listed and summed once, when its entry is
-    reached (leaves: after the sweep). ``loss`` must be a scalar. Calling
-    twice without ``zero_grad`` doubles the leaf gradients.
+    reached (leaves: after the sweep). A leaf reached only by row parts, and
+    holding no dense gradient, gets them coalesced into one ``RowSet``
+    together with the row set it holds; every other leaf gets a dense array.
+    ``loss`` must be a scalar. Calling twice without ``zero_grad`` doubles the
+    leaf gradients.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -208,10 +251,22 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if gi is not None and inp.requires_grad:  # constants need no gradient
                 parts.setdefault(inp, []).append(gi)
     for leaf, incoming in parts.items():
-        if leaf.requires_grad:
-            if leaf.grad is None:
-                leaf.zero_grad()
+        if not leaf.requires_grad:
+            continue
+        held = [] if leaf.grad is None else [leaf.grad]
+        if all(isinstance(p, SparseRows) for p in held + incoming):
+            leaf.grad = _merge_rows(held + incoming, leaf.shape)
+        else:
+            leaf.grad = dense_grad(leaf)
             _sum_parts(incoming, into=leaf.grad)
+
+
+def _merge_rows(parts: list[SparseRows], shape: tuple[int, ...]) -> RowSet:
+    """One row set holding the sum of ``parts``, each row summed in part order."""
+    if len(parts) == 1 and isinstance(parts[0], RowSet):
+        return parts[0]
+    idx = np.concatenate([p.idx.ravel() for p in parts])
+    return coalesce_rows(idx, np.concatenate([p.val.reshape(-1, *shape[1:]) for p in parts]), shape)
 
 
 def _sum_parts(parts: list, into: Array | None = None) -> Array:
@@ -692,8 +747,8 @@ def embedding_lookup(
     token's scaled bucket rows are added to its word row one at a time, in list
     order: pass ``k`` adds the ``k``-th bucket row of every token that has
     one. A token with no buckets and zero weight (padding) comes out exactly
-    zero and gets no gradient. Gradients reach both tables as sparse row
-    updates.
+    zero and gets no gradient. Each table's gradient is one ``RowSet`` over
+    the rows the tokens use, summed without a table-sized array.
     """
     ids = np.asarray(word_ids, dtype=np.intp)
     w = np.asarray(word_weight, dtype=np.float64)
@@ -711,8 +766,9 @@ def embedding_lookup(
 
     def rule(g):
         keep = w > 0
-        gw = SparseRows(ids[keep], g[keep] * w[keep, None], word_table.shape)
-        gb = SparseRows(bidx, np.repeat(g * inv[:, None], counts, axis=0), bucket_table.shape)
+        gw = coalesce_rows(ids[keep], g[keep] * w[keep, None], word_table.shape)
+        owner = np.repeat(np.arange(ids.size), counts)  # the token each bucket id belongs to
+        gb = coalesce_rows(bidx, g * inv[:, None], bucket_table.shape, src=owner)
         return gw, gb
 
     return _record((word_table, bucket_table), out, rule)

@@ -67,7 +67,7 @@ def check_scalar_fn(build: Callable[[], Tensor], wrt: list[Tensor]) -> float:
     worst = 0.0
     for t in wrt:
         fd = finite_difference(lambda: build().item(), t)
-        worst = max(worst, relative_error(t.grad, fd))
+        worst = max(worst, relative_error(ad.dense_grad(t), fd))
     return worst
 
 
@@ -345,7 +345,7 @@ def check_full_model(variant: str, draws: int = 50) -> tuple[float, int]:
             n_pick = min(p.size, 2)
             picks = rng.choice(p.size, size=n_pick, replace=False)
             flat = p.data.ravel()
-            gflat = p.grad.ravel()
+            gflat = ad.dense_grad(p).ravel()
             for idx in picks:
                 def quotient(h):
                     orig = flat[idx]

@@ -83,7 +83,8 @@ class Adam:
     dense expressions on those rows only. This is exact: an unseen row has
     ``m = v = 0`` and a zero gradient, so dense Adam would subtract exactly
     0.0 from it, which leaves every value, ``-0.0`` included, bitwise as it
-    was. ``m`` and ``v`` are dense;
+    was. A row-set gradient marks its nonzero rows seen and is expanded onto
+    the seen rows; no gradient counts as zero. ``m`` and ``v`` are dense;
     ``np.zeros`` leaves the pages of never-written rows unmapped.
     """
 
@@ -100,12 +101,21 @@ class Adam:
         t = self.step_count
         for name, p in self.params:
             g = p.grad
-            if g is None:
-                continue
             seen = self.seen[name]
-            seen |= g.any(axis=tuple(range(1, g.ndim)))
-            rows = np.flatnonzero(seen)
-            g = g[rows]
+            if isinstance(g, np.ndarray):
+                seen |= g.any(axis=tuple(range(1, g.ndim)))
+                rows = np.flatnonzero(seen)
+                g = g[rows]
+            else:  # a row set, or no gradient: no row touched
+                ids, val = (g.idx, g.val) if g is not None else (np.zeros(0, np.intp), np.zeros((0, *p.shape[1:])))
+                touched = val.any(axis=tuple(range(1, val.ndim)))
+                seen[ids[touched]] = True
+                rows = np.flatnonzero(seen)
+                if touched.all() and rows.size == ids.size:  # the set's rows are the seen rows
+                    g = val
+                else:
+                    g = np.zeros((rows.size, *p.shape[1:]))
+                    g[np.searchsorted(rows, ids[touched])] = val[touched]
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
             m = self.m[name][rows]
@@ -128,17 +138,17 @@ class Adam:
 
 
 def clip_gradients(params: Sequence[tuple[str, Tensor]], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so the global L2 norm is at most ``max_norm``; a
+    row set's rows stand for its whole table, the other rows being zero."""
+    grads = [p.grad.val if isinstance(p.grad, ad.RowSet) else p.grad for _, p in params if p.grad is not None]
     total = 0.0
-    for _, p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+    for g in grads:
+        total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for _, p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 

@@ -283,15 +283,40 @@ class TestBackward:
 
         assert check_scalar_fn(build, [x, w]) < 1e-4
 
-    def test_zero_grad_makes_zeros_then_refills_the_same_array(self):
+    def test_zero_grad_drops_the_gradient(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         assert x.grad is None
-        x.zero_grad()
-        assert x.grad.shape == (3, 2) and not x.grad.any()
-        held = x.grad
-        held += 5.0
-        x.zero_grad()
-        assert x.grad is held and not held.any()
+        for _ in range(2):
+            with Tape() as tape:
+                loss = ad.tsum(ad.mul(x, 2.0))
+            tape.backward(loss)
+            assert np.array_equal(x.grad, np.full((3, 2), 2.0))  # not doubled: the drop reset it
+            x.zero_grad()
+            assert x.grad is None
+
+    def test_gradient_form_follows_what_reaches_the_leaf(self):
+        table = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+
+        def run(dense_too):
+            with Tape() as tape:
+                loss = ad.tsum(ad.take_rows(table, [3, 1, 3]))
+                if dense_too:
+                    loss = ad.add(loss, ad.tsum(table))
+            tape.backward(loss)
+
+        run(dense_too=False)
+        assert isinstance(table.grad, ad.RowSet) and table.grad.idx.tolist() == [1, 3]
+        assert np.array_equal(table.grad.val, [[1.0] * 3, [2.0] * 3])
+        run(dense_too=False)  # no zero_grad: merged into the row set it holds
+        assert isinstance(table.grad, ad.RowSet) and table.grad.idx.tolist() == [1, 3]
+        assert np.array_equal(table.grad.val, [[2.0] * 3, [4.0] * 3])
+        run(dense_too=True)  # a dense part: the row set is expanded and added to
+        assert np.array_equal(table.grad, [[1.0] * 3, [4.0] * 3, [1.0] * 3, [7.0] * 3])
+        run(dense_too=False)  # a dense gradient stays dense
+        assert np.array_equal(table.grad, [[1.0] * 3, [5.0] * 3, [1.0] * 3, [9.0] * 3])
+        table.zero_grad()
+        run(dense_too=True)
+        assert np.array_equal(table.grad, [[1.0] * 3, [2.0] * 3, [1.0] * 3, [3.0] * 3])
 
     def test_backward_makes_a_gradient_only_for_leaves_it_reaches(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -370,7 +395,7 @@ class TestElementwise:
         expected = np.zeros((4, 3))
         expected[1] = 2.0
         expected[3] = 1.0
-        assert np.array_equal(table.grad, expected)
+        assert np.array_equal(ad.dense_grad(table), expected)
 
         # a table reached sparsely by many lookups and densely by one product;
         # integer values keep every sum exact in any order
@@ -396,7 +421,61 @@ class TestElementwise:
             loss = ad.tsum(rows)
         tape.backward(loss)
         assert np.array_equal(rows.data, table.data[idx.T])
-        assert np.array_equal(table.grad, np.repeat([[1.0], [2.0], [0.0], [3.0]], 3, axis=1))
+        assert np.array_equal(ad.dense_grad(table), np.repeat([[1.0], [2.0], [0.0], [3.0]], 3, axis=1))
+
+
+def assert_coalesced_as_add_at(rows, idx, val, shape):
+    """``rows`` lists each id in ``idx`` once, in order, with the sums ``np.add.at`` into zeros gives, bitwise."""
+    assert isinstance(rows, ad.RowSet) and rows.shape == shape
+    assert rows.idx.tolist() == sorted(set(np.ravel(idx).tolist()))
+    reference = np.zeros(shape)
+    np.add.at(reference, np.asarray(idx, dtype=np.intp), val)
+    dense = np.zeros(shape)
+    dense[rows.idx] = rows.val  # written, not added: a -0.0 would survive
+    assert dense.tobytes() == reference.tobytes()
+
+
+class TestCoalesceRows:
+    def test_repeated_buckets_within_and_across_tokens(self):
+        table = tiny_model("none").table
+        tokens = ["aaaaaaa", "aaaab", "baaaa", "aaaaaaa"]
+        owned = [table.bucket_ids(t) for t in tokens]
+        assert len(set(owned[0])) < len(owned[0])  # the token repeats a bucket itself
+        assert set(owned[1]) & set(owned[2])  # and tokens share buckets
+        bidx = np.concatenate(owned)
+        owner = np.repeat(np.arange(len(tokens)), [len(o) for o in owned])
+        per_token = np.random.default_rng(3).uniform(-1, 1, (len(tokens), 6)) / 7.0
+        shape = table.bucket.shape
+        rows = ad.coalesce_rows(bidx, per_token, shape, src=owner)
+        assert_coalesced_as_add_at(rows, bidx, per_token[owner], shape)
+        assert_coalesced_as_add_at(ad.coalesce_rows(bidx, per_token[owner], shape), bidx, per_token[owner], shape)
+
+    def test_an_id_with_hundreds_of_occurrences(self):
+        rng = np.random.default_rng(4)
+        idx = np.concatenate([np.full(700, 5), rng.integers(0, 40, 300)])
+        rng.shuffle(idx)
+        val = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 8, (idx.size, 1))
+        assert_coalesced_as_add_at(ad.coalesce_rows(idx, val, (40, 3)), idx, val, (40, 3))
+
+    def test_any_index_shape_and_one_dimensional_rows(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 6, (4, 5))
+        val = rng.normal(size=(4, 5))
+        assert_coalesced_as_add_at(ad.coalesce_rows(idx, val, (6,)), idx, val, (6,))
+
+    def test_a_lone_negative_zero_becomes_positive(self):
+        idx = np.array([2, 0, 2])
+        val = np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, -2.0]])
+        rows = ad.coalesce_rows(idx, val, (3, 2))
+        assert_coalesced_as_add_at(rows, idx, val, (3, 2))
+        assert not np.signbit(rows.val[rows.val == 0.0]).any()
+
+    def test_no_rows(self):
+        rows = ad.coalesce_rows(np.zeros(0, np.intp), np.zeros((0, 4)), (9, 4))
+        assert rows.idx.shape == (0,) and rows.val.shape == (0, 4)
+        table = Tensor(np.ones((9, 4)), requires_grad=True)
+        table.grad = rows
+        assert ad.dense_grad(table).tobytes() == np.zeros((9, 4)).tobytes()
 
 
 class TestEmbeddingLookup:
@@ -432,7 +511,7 @@ class TestEmbeddingLookup:
             loss = ad.tsum(ad.mul(out, g))
         tape.backward(loss)
         want = self.per_token_loop(words, buckets, ids, weight, bidx, offs, g)
-        for got, ref in zip((out.data, w.grad, b.grad), want, strict=True):
+        for got, ref in zip((out.data, ad.dense_grad(w), ad.dense_grad(b)), want, strict=True):
             assert np.array_equal(got, ref)
         assert np.all(out.data[0] == 0.0)
 
@@ -462,11 +541,12 @@ class TestEmbeddingLookup:
                 weights = rng.uniform(-1, 1, out.shape) if weights is None else weights
                 loss = ad.tsum(ad.mul(out, weights))
             tape.backward(loss)
+            got = (out.data, ad.dense_grad(w), ad.dense_grad(b))
             if seen is None:
-                seen = (out.data, w.grad, b.grad)
+                seen = got
                 assert np.all(out.data[0] == 0.0)
             else:
-                for got, want in zip((out.data, w.grad, b.grad), seen):
+                for got, want in zip(got, seen):
                     assert np.array_equal(got, want)
 
     def test_rejects_time_major_ids(self):

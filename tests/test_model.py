@@ -351,7 +351,7 @@ def assert_matches_reference(new, reference, leaves):
                 term = ad.tsum(ad.mul(out, np.linspace(-1.0, 1.0, out.size).reshape(out.shape)))
                 loss = term if loss is None else ad.add(loss, term)
         tape.backward(loss)
-        results.append(([o.data.copy() for o in outs], [t.grad.copy() for t in leaves]))
+        results.append(([o.data.copy() for o in outs], [ad.dense_grad(t) for t in leaves]))
     (outs_a, grad_a), (outs_b, grad_b) = results
     for out_a, out_b in zip(outs_a, outs_b, strict=True):
         assert out_a.shape == out_b.shape
@@ -713,8 +713,16 @@ class TestBackward:
         assert len(tape) > 0
         assert all(entry.output.grad is None for entry in tape.entries)
         for name, p in model.trainable():
-            assert p.grad is not None and p.grad.shape == p.shape, name
-            assert np.any(p.grad != 0.0), name
+            if name.startswith("embed."):  # the tables: only the rows the tokens use
+                g = p.grad
+                assert isinstance(g, ad.RowSet) and g.shape == p.shape, name
+                assert g.idx.ndim == 1 and g.idx.size > 0 and np.all(np.diff(g.idx) > 0), name
+                assert 0 <= g.idx[0] and g.idx[-1] < p.shape[0], name
+                assert g.val.shape == (g.idx.size, *p.shape[1:]), name
+                assert np.all(g.val.any(axis=1)), name
+            else:
+                assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape, name
+                assert np.any(p.grad != 0.0), name
 
 
 def reference_embedding(word, bucket, doc, si, t):
@@ -766,8 +774,8 @@ class TestBatchEmbedding:
                 np.add.at(word_uses, ids, weights)
                 for owned in buckets:
                     np.add.at(bucket_uses, list(owned), 1.0 / len(owned))
-        assert np.array_equal(word.grad, np.repeat(word_uses[:, None], word.shape[1], axis=1))
-        assert np.allclose(bucket.grad, bucket_uses[:, None], rtol=0, atol=1e-14)
+        assert np.array_equal(ad.dense_grad(word), np.repeat(word_uses[:, None], word.shape[1], axis=1))
+        assert np.allclose(ad.dense_grad(bucket), bucket_uses[:, None], rtol=0, atol=1e-14)
 
     def test_collate_lists_each_distinct_token_once(self):
         batch, encoded = self._batch(small_model())
