@@ -178,16 +178,23 @@ def _load_data(data: dict):
 def _ingest(data: dict, config: HanConfig, include_subject: bool):
     """Kept (non-empty) documents cut at the config's ``s_max`` and ``t_max``,
     and one skip list: ``(path, reason)`` per unreadable file, then
-    ``(id, "empty")`` per empty document. A count of the empty documents
-    goes to stderr."""
+    ``(id, "empty")`` per empty document. Counts of the files read as
+    Latin-1, the documents cut and the empty documents go to stderr."""
     loaded = _load_data(data)
     docs = [
         to_document(e, s_max=config.s_max, t_max=config.t_max, include_subject=include_subject)
         for e in loaded.emails
     ]
     empty = [(d.doc_id, "empty") for d in docs if d.empty]
-    if empty:
-        print(f"skipped {len(empty)} empty documents under {data['path']}", file=sys.stderr)
+    latin1 = sum(e.had_decode_errors for e in loaded.emails)
+    cut = sum(d.truncated_sentences or d.truncated_tokens for d in docs)
+    for n, line in (
+        (latin1, f"read {latin1} files as Latin-1"),
+        (cut, f"truncated {cut} documents to s_max/t_max {config.s_max}/{config.t_max}"),
+        (len(empty), f"skipped {len(empty)} empty documents"),
+    ):
+        if n:
+            print(f"{line} under {data['path']}", file=sys.stderr)
     return [d for d in docs if not d.empty], loaded.skipped + empty
 
 

@@ -76,61 +76,91 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over named tensors, updating only rows seen so far.
+    """Bias-corrected Adam over named tensors, keeping state for seen rows only.
 
-    ``seen[name]`` marks the rows (along axis 0) whose gradient has had a
-    nonzero entry (NaN and inf included) at any step. The update runs the
-    dense expressions on those rows only. This is exact: an unseen row has
-    ``m = v = 0`` and a zero gradient, so dense Adam would subtract exactly
-    0.0 from it, which leaves every value, ``-0.0`` included, bitwise as it
-    was. A row-set gradient marks its nonzero rows seen and is expanded onto
-    the seen rows; no gradient counts as zero. ``m`` and ``v`` are dense;
-    ``np.zeros`` leaves the pages of never-written rows unmapped.
+    ``rows[name]`` holds, sorted, the ids (along axis 0) of the rows whose
+    gradient has had a nonzero entry (NaN and inf included) at any step.
+    ``m[name]`` and ``v[name]`` are ``[len(rows), ...]`` arrays aligned with
+    those ids: a row gets zero moments when it is first seen, and the state
+    grows with the rows seen, not with the table. Each step runs the dense
+    expressions in place over the seen rows, with two seen-row-sized scratch
+    arrays. This is exact: an unseen row has ``m = v = 0`` and a zero
+    gradient, so dense Adam would subtract exactly 0.0 from it, which leaves
+    every value, ``-0.0`` included, bitwise as it was. A row-set gradient
+    whose touched rows are the seen rows is read as it is; otherwise its
+    touched rows are copied onto the seen rows, zeros elsewhere. A dense
+    gradient is read as the row set of all its rows, and no gradient counts
+    as zero.
     """
 
     def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self.m = {name: np.zeros(t.shape) for name, t in self.params}
-        self.v = {name: np.zeros(t.shape) for name, t in self.params}
-        self.seen = {name: np.zeros(t.shape[:1], dtype=bool) for name, t in self.params}
+        self.rows = {name: np.zeros(0, dtype=np.intp) for name, _ in self.params}
+        self.m = {name: np.zeros((0, *t.shape[1:])) for name, t in self.params}
+        self.v = {name: np.zeros((0, *t.shape[1:])) for name, t in self.params}
 
     def step(self) -> None:
+        """Update every parameter; if any gradient holds a NaN or inf, raise
+        ``NonFiniteGradient`` and leave parameters and state as they were."""
+        grads = []
+        for name, p in self.params:
+            if isinstance(p.grad, ad.RowSet):
+                ids, val = p.grad.idx, p.grad.val
+            elif p.grad is not None:
+                ids, val = np.arange(len(p.grad)), p.grad
+            else:
+                ids, val = np.zeros(0, dtype=np.intp), np.zeros((0, *p.shape[1:]))
+            if not np.isfinite(val).all():
+                raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
+            grads.append((ids, val))
         self.step_count += 1
         t = self.step_count
-        for name, p in self.params:
-            g = p.grad
-            seen = self.seen[name]
-            if isinstance(g, np.ndarray):
-                seen |= g.any(axis=tuple(range(1, g.ndim)))
-                rows = np.flatnonzero(seen)
-                g = g[rows]
-            else:  # a row set, or no gradient: no row touched
-                ids, val = (g.idx, g.val) if g is not None else (np.zeros(0, np.intp), np.zeros((0, *p.shape[1:])))
-                touched = val.any(axis=tuple(range(1, val.ndim)))
-                seen[ids[touched]] = True
-                rows = np.flatnonzero(seen)
-                if touched.all() and rows.size == ids.size:  # the set's rows are the seen rows
-                    g = val
-                else:
-                    g = np.zeros((rows.size, *p.shape[1:]))
-                    g[np.searchsorted(rows, ids[touched])] = val[touched]
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
-            m = self.m[name][rows]
-            v = self.v[name][rows]
-            data = p.data[rows]
+        for (name, p), (ids, val) in zip(self.params, grads):
+            touched = val.any(axis=tuple(range(1, val.ndim)))
+            if not touched.all():
+                ids, val = ids[touched], val[touched]
+            rows = self._see(name, ids)
+            m, v = self.m[name], self.v[name]
+            if ids.size == rows.size:  # the touched rows are the seen rows
+                g, scratch = val, np.empty_like(m)
+            else:
+                g = scratch = np.zeros_like(m)
+                g[np.searchsorted(rows, ids)] = val
+            step = np.empty_like(m)
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(g, 1.0 - _BETA1, out=step)
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            m_hat = m / (1.0 - _BETA1**t)
-            v_hat = v / (1.0 - _BETA2**t)
-            data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-            self.m[name][rows] = m
-            self.v[name][rows] = v
-            p.data[rows] = data
+            np.multiply(g, 1.0 - _BETA2, out=step)
+            step *= g
+            v += step
+            # lr * m_hat / (sqrt(v_hat) + eps); g is not read again
+            np.divide(m, 1.0 - _BETA1**t, out=step)
+            step *= self.lr
+            np.divide(v, 1.0 - _BETA2**t, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += _EPS
+            step /= scratch
+            if rows.size == len(p.data):  # every row seen: rows is arange
+                p.data -= step
+            else:
+                np.take(p.data, rows, axis=0, out=scratch)
+                scratch -= step
+                p.data[rows] = scratch
+
+    def _see(self, name: str, ids: np.ndarray) -> np.ndarray:
+        """Add ``ids`` to the seen rows, new ones with zero moments; return the seen rows."""
+        rows = self.rows[name]
+        merged = np.union1d(rows, ids)
+        if merged.size > rows.size:
+            old = np.searchsorted(merged, rows)
+            for moments in (self.m, self.v):
+                grown = np.zeros((merged.size, *moments[name].shape[1:]))
+                grown[old] = moments[name]
+                moments[name] = grown
+            self.rows[name] = merged
+        return self.rows[name]
 
     def zero_grad(self) -> None:
         for _, p in self.params:

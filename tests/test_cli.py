@@ -278,6 +278,21 @@ class TestSkipsAndHoldout:
         assert capsys.readouterr().err == f"skipped 1 empty documents under {corpus_dir}\n"
         assert (out / "skip_report.txt").read_text(encoding="utf-8") == f"{empty}\tempty\n"
 
+    def test_eval_reports_files_read_as_latin1(self, tmp_path, corpus_dir, capsys):
+        (corpus_dir / "spam" / "latin.txt").write_bytes(b"Subject: x\n\ncheap caf\xe9 offer.\n")
+        ckpt = tmp_path / "model.bin"
+        HanModel(HanConfig.from_dict(TINY_MODEL), build_vocab(make_corpus(n_docs=12, seed=2), min_count=1)).save(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir)]) == EXIT_OK
+        assert capsys.readouterr().err == f"read 1 files as Latin-1 under {corpus_dir}\n"
+
+    def test_train_reports_truncated_documents(self, tmp_path, corpus_dir, capsys):
+        # TINY_MODEL keeps 6 sentences of 10 tokens: one file has 7 sentences, one a 12-token sentence
+        (corpus_dir / "spam" / "long.txt").write_text("Subject: x\n\n" + "buy now. " * 7 + "\n", encoding="utf-8")
+        (corpus_dir / "ham" / "wide.txt").write_text("Subject: x\n\n" + "word " * 12 + ".\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", train={"batch_size": 8, "epochs": 1, "min_count": 1})
+        assert main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert capsys.readouterr().err == f"truncated 2 documents to s_max/t_max 6/10 under {corpus_dir}\n"
+
     def test_val_fraction_zero_holds_out_nothing(self, tmp_path, corpus_dir, monkeypatch):
         seen = []
         train = cli.train

@@ -107,6 +107,25 @@ class TestAdam:
         with pytest.raises(NonFiniteGradient, match="w_q"):
             opt.step()
 
+    @pytest.mark.parametrize("row_set", [False, True])
+    def test_non_finite_gradient_changes_nothing(self, row_set):
+        a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        b = Tensor(np.ones((4, 2)), requires_grad=True)
+        opt = Adam([("a", a), ("b", b)], lr=0.01)
+        a.grad, b.grad = np.full((3, 2), 0.5), ad.RowSet(np.array([1]), np.full((1, 2), 0.25), (4, 2))
+        opt.step()
+        before = [(p.data.copy(), opt.rows[n].copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in opt.params]
+        bad = np.zeros((4, 2))
+        bad[[0, 3], 1] = 0.5, np.nan
+        a.grad = np.full((3, 2), 0.5)
+        b.grad = as_row_set(bad) if row_set else bad
+        with pytest.raises(NonFiniteGradient, match="'b'"):
+            opt.step()
+        assert opt.step_count == 1
+        for (n, p), saved in zip(opt.params, before):
+            now = (p.data, opt.rows[n], opt.m[n], opt.v[n])
+            assert [x.tobytes() for x in now] == [x.tobytes() for x in saved], n
+
 
 class ReferenceAdam:
     """Dense bias-corrected Adam: every row of every parameter, every step;
@@ -155,6 +174,15 @@ def as_row_set(grad):
     return ad.RowSet(rows, grad[rows].copy(), grad.shape)
 
 
+def dense_moments(opt, name, shape):
+    """``opt``'s compact moments of ``name`` scattered onto the table's shape, zeros elsewhere."""
+    rows = opt.rows[name]
+    assert opt.m[name].shape == opt.v[name].shape == (rows.size, *shape[1:])
+    m, v = np.zeros(shape), np.zeros(shape)
+    m[rows], v[rows] = opt.m[name], opt.v[name]
+    return m, v
+
+
 class TestRowSparseAdam:
     def run_twins(self, grads_per_step, shape=(10, 4), lr=0.01):
         """Adam fed each step's gradient as an array and, on a third copy, as a
@@ -173,9 +201,10 @@ class TestRowSparseAdam:
                 opt.step()
             for opt, p in ((from_array, array_p), (from_rows, rows_p)):
                 assert p.data.tobytes() == dense_p.data.tobytes()
-                assert opt.m["table"].tobytes() == dense.m["table"].tobytes()
-                assert opt.v["table"].tobytes() == dense.v["table"].tobytes()
-            assert from_rows.seen["table"].tolist() == from_array.seen["table"].tolist()
+                m, v = dense_moments(opt, "table", shape)
+                assert m.tobytes() == dense.m["table"].tobytes()
+                assert v.tobytes() == dense.v["table"].tobytes()
+            assert from_rows.rows["table"].tolist() == from_array.rows["table"].tolist()
         return from_rows, rows_p
 
     def test_bitwise_equal_to_dense_over_overlapping_row_subsets(self):
@@ -191,14 +220,39 @@ class TestRowSparseAdam:
             g[1, 2] = -0.0  # a negative zero alone does not touch a row
             grads.append(g)
         opt, _ = self.run_twins(grads, shape)
-        assert opt.seen["table"].tolist() == [True, False, False, True, True, True, True, True, False, False]
+        assert opt.rows["table"].tolist() == [0, 3, 4, 5, 6, 7]
+
+    def test_rows_first_seen_out_of_order_while_others_go_idle(self):
+        rng = np.random.default_rng(7)
+        shape = (12, 3)
+        # rows are first seen in the order 7; 2 and 10; 0; 5 and 11; 1. Rows 2 and 7 go idle after step 2
+        subsets = [[7], [2, 7, 10], [0, 10], [0, 5, 11], [1, 5], [1, 10, 11]]
+        grads = []
+        for rows in subsets:
+            g = np.zeros(shape)
+            g[rows] = rng.normal(size=(len(rows), shape[1]))
+            grads.append(g)
+        opt, _ = self.run_twins(grads, shape)
+        assert opt.rows["table"].tolist() == [0, 1, 2, 5, 7, 10, 11]
+        idle = np.searchsorted(opt.rows["table"], [2, 7])
+        assert opt.m["table"][idle].all() and opt.v["table"][idle].all()  # still decaying
+
+    def test_state_holds_only_the_touched_rows(self):
+        n, dim, k = 1000, 8, 37
+        table = Tensor(np.ones((n, dim)), requires_grad=True)
+        opt = Adam([("embed.bucket", table)])
+        ids = np.sort(np.random.default_rng(8).choice(n, k, replace=False))
+        table.grad = ad.RowSet(ids, np.full((k, dim), 0.5), (n, dim))
+        opt.step()
+        assert opt.rows["embed.bucket"].tolist() == ids.tolist()
+        assert opt.m["embed.bucket"].nbytes == opt.v["embed.bucket"].nbytes == k * dim * 8
 
     def test_matches_dense_once_every_row_is_seen(self):
         rng = np.random.default_rng(2)
         grads = [np.where(np.arange(6)[:, None] < 3, rng.normal(size=(6, 2)), 0.0), rng.normal(size=(6, 2))]
         grads += [rng.normal(size=(6, 2)) * (rng.random((6, 1)) < 0.5) for _ in range(4)]
         opt, _ = self.run_twins(grads, shape=(6, 2))
-        assert opt.seen["table"].all()
+        assert opt.rows["table"].tolist() == list(range(6))
 
     def test_never_touched_rows_keep_zero_moments_and_values(self):
         rng = np.random.default_rng(3)
@@ -210,7 +264,7 @@ class TestRowSparseAdam:
         start = _twin_tables(np.random.default_rng(0), (10, 4))[0].data  # as run_twins draws it
         opt, p = self.run_twins(grads)
         idle = [0, 1, 2, 8, 9]
-        assert not opt.m["table"][idle].any() and not opt.v["table"][idle].any()
+        assert opt.rows["table"].tolist() == [3, 4, 5, 6, 7]  # no moments for the idle rows
         assert p.data[idle].tobytes() == start[idle].tobytes()
         assert np.signbit(p.data[2]).all()  # -0.0 stays -0.0
 
