@@ -550,7 +550,28 @@ def softmax(scores) -> Tensor:
 _TEMP_ELEMS = 2**21
 
 
-def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
+def _live_rows(mask, rows: int, steps: int, op: str) -> tuple[Array, bool]:
+    """Per step of a ``[rows, steps]`` mask: one more than its last live row
+    (0 if it has none), and whether every step's live rows are exactly that
+    prefix, as they are with rows ordered longest first. None is all live."""
+    if mask is None:
+        return np.full(steps, rows), True
+    if np.shape(mask) != (rows, steps):
+        raise ShapeError(f"{op} expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}")
+    m = np.asarray(mask, dtype=bool)
+    live = np.where(m.any(axis=0), rows - np.argmax(m[::-1], axis=0), 0)
+    return live, bool(np.array_equal(m.sum(axis=0), live))
+
+
+def _tap_gradient(xs: Array, gs: Array) -> Array:
+    """``sum_j xs[j].T @ gs[j]`` over positions ``j`` of ``xs[m, c, cin]`` and ``gs[m, c, cout]``:
+    one 2-D GEMM when both are one block in memory (one position, or every row)."""
+    if xs.flags.c_contiguous and gs.flags.c_contiguous:
+        return xs.reshape(-1, xs.shape[2]).T @ gs.reshape(-1, gs.shape[2])
+    return np.matmul(xs.transpose(0, 2, 1), gs).sum(axis=0)
+
+
+def dilated_conv1d(x, f, d: int = 1, mode: str = "valid", mask=None) -> Tensor:
     """Dilated convolution along axis 0: the one convolution the model uses.
 
     ``x`` is ``[n, rows, cin]`` and ``f`` is ``[k, cin, cout]``; every row
@@ -562,6 +583,14 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
     - ``same``: causal, ``(k-1)*d`` zeros on the left, length ``n``;
     - ``centred``: ``(k-1)*d // 2`` zeros on the left and the rest on the
       right, length ``n``.
+
+    ``mask`` (``[rows, n]``; None means every position is real) makes a
+    position off the mask read as zero, output zero and get no gradient. In
+    ``valid`` mode output ``s`` is masked as input ``s + (k-1)*d``, the one
+    its tap 0 reads. Each output step is computed on rows up to its last
+    live row only, and a tap reads rows up to its input step's last live
+    row, so with rows ordered longest first padding costs nothing; a mask
+    whose live rows at a step are not a prefix is applied with ``np.where``.
     """
     x, f = _wrap(x), _wrap(f)
     vector = x.ndim == 1 and f.ndim == 1
@@ -583,27 +612,51 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid") -> Tensor:
     if mode == "valid" and n < span + 1:
         raise ShapeError(f"input length {n} has no full window for k={k}, d={d}")
     length = n - span if mode == "valid" else n
+    live, prefix = _live_rows(mask, rows, n, "dilated_conv1d")
+    out_live = live[n - length :]
+    if not prefix:
+        keep = np.asarray(mask, dtype=bool).T[:, :, None]
+        out_keep = keep[n - length :]
+        xd = np.where(keep, xd, 0.0)
     block = max(1, _TEMP_ELEMS // max(1, rows * cin, rows * cout))  # positions per matmul
 
     def windows():
-        """Per tap and block of positions: the tap, the x slice it reads, the output slice it feeds."""
+        """Per tap, and per run of at most ``block`` output positions that
+        share one live-row count: the tap, the x slice it reads, the output
+        slice it feeds and the count."""
         for i in range(k):
             lo = span - pad_left - d * i  # x-index of output position 0 for tap i
-            for xs in range(max(lo, 0), min(lo + length, n), block):
-                stop = min(xs + block, lo + length, n)
-                yield i, slice(xs, stop), slice(xs - lo, stop - lo)
+            a, b = max(0, -lo), min(length, n - lo)  # the output positions it reads x for
+            if a >= b:
+                continue
+            count = np.minimum(out_live[a:b], live[a + lo : b + lo])
+            starts = np.flatnonzero(np.diff(count, prepend=-1))  # where a count begins
+            for start, stop in zip(starts + a, [*starts[1:] + a, b]):
+                c = int(count[start - a])
+                if c == 0:
+                    continue
+                for s in range(start, stop, block):
+                    e = min(s + block, stop)
+                    yield i, slice(s + lo, e + lo), slice(s, e), c
 
+    work = list(windows())
     out = np.zeros((length, rows, cout))
-    for i, xsl, osl in windows():
-        out[osl] += (xd[xsl].reshape(-1, cin) @ fd[i]).reshape(-1, rows, cout)
+    for i, xsl, osl, c in work:
+        out[osl, :c] += np.matmul(xd[xsl, :c], fd[i])
+    if not prefix:
+        out = np.where(out_keep, out, 0.0)
 
     def rule(g):
         g = g.reshape(length, rows, cout)
+        if not prefix:
+            g = np.where(out_keep, g, 0.0)
         gx, gf = np.zeros(xd.shape), np.zeros(fd.shape)
-        for i, xsl, osl in windows():
-            gs = g[osl].reshape(-1, cout)
-            gx[xsl] += (gs @ fd[i].T).reshape(-1, rows, cin)
-            gf[i] += xd[xsl].reshape(-1, cin).T @ gs
+        for i, xsl, osl, c in work:
+            gs = g[osl, :c]
+            gx[xsl, :c] += np.matmul(gs, fd[i].T)
+            gf[i] += _tap_gradient(xd[xsl, :c], gs)
+        if not prefix:
+            gx = np.where(keep, gx, 0.0)
         return gx.reshape(x.shape), gf.reshape(f.shape)
 
     return _record((x, f), out.reshape(length) if vector else out, rule)
@@ -622,11 +675,15 @@ def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
         c = tanh(p_h + (r * h) @ u_h)   h = (1 - z) * h + z * c
 
     ``mask`` (``[rows, steps]``; None means every step is real) sets z to
-    exactly 0 on a padded step, so the state carries over unchanged. The
-    input projection is one GEMM per direction over all steps, and only the
-    ``h @ u`` products run per step (the fused recurrent kernel of Appleyard
-    et al., arXiv 1604.01946). z, r and c are kept only while a tape
-    records; the rule is one backprop-through-time loop per direction.
+    exactly 0 on a padded step, so the state carries over unchanged. A step
+    runs on the rows up to its last live row only; the rows past it hold
+    their state without arithmetic, as z = 0 would. With rows ordered
+    longest first (``model.collate``) those are all of a step's padded rows,
+    so padding costs nothing, and any other mask stays exact. Per step and
+    direction the input projection and ``h @ [u_z|u_r]`` are one GEMM each
+    over the live rows (the fused recurrent kernel of Appleyard et al.,
+    arXiv 1604.01946). z, r and c are kept only while a tape records; the
+    rule is one backprop-through-time loop per direction.
     """
     x = _wrap(x)
     params = tuple(_wrap(p) for p in (w_fw, b_fw, u_fw, w_bw, b_bw, u_bw))
@@ -640,69 +697,60 @@ def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
             raise ShapeError(
                 f"bigru expects w[{in_dim}, 3u], b[3u] and u[u, 3u] with u = {n}, got {w.shape}, {b.shape}, {u.shape}"
             )
-    if mask is not None and np.shape(mask) != (rows, steps):
-        raise ShapeError(f"bigru expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}")
-    keep = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]
+    live, prefix = _live_rows(mask, rows, steps, "bigru")
+    keep = None if prefix else np.asarray(mask, dtype=np.float64).T[:, :, None]
     orders = (range(steps), range(steps - 1, -1, -1))
     record = _recording((x, *params))
-    flat = x.data.reshape(steps * rows, in_dim)
     out = np.empty((steps, rows, 2 * n))
-    gates = []  # per direction while recording: z, r and c, each [steps, rows, n]
+    gates = []  # per direction while recording: per step, z, r and c on its live rows
 
     for d, (w, b, u) in enumerate(directions):
-        proj = _rows_matmul(flat, w.data)
-        proj += b.data
-        proj = proj.reshape(steps, rows, 3 * n)
         u_zr, u_h = u.data[:, : 2 * n], u.data[:, 2 * n :]
-        saved = np.empty((3, steps, rows, n)) if record else None
+        saved = [None] * steps if record else None
         h = np.zeros((rows, n))
         for t in orders[d]:
-            zr = _logistic(proj[t, :, : 2 * n] + h @ u_zr)
+            m = live[t]
+            hm = h[:m]
+            p = x.data[t, :m] @ w.data
+            p += b.data
+            zr = _logistic(p[:, : 2 * n] + hm @ u_zr)
             z, r = zr[:, :n], zr[:, n:]
             if keep is not None:
-                z = z * keep[t]
-            c = np.tanh(proj[t, :, 2 * n :] + (r * h) @ u_h)
-            h = (1.0 - z) * h + z * c
+                z = z * keep[t, :m]
+            c = np.tanh(p[:, 2 * n :] + (r * hm) @ u_h)
+            h[:m] = (1.0 - z) * hm + z * c
             out[t, :, d * n : (d + 1) * n] = h
             if record:
-                saved[:, t] = z, r, c
-        del proj
+                saved[t] = z, r, c
         gates.append(saved)
 
     def rule(g):
-        gx, grads = None, []
+        gx, grads = np.zeros(x.shape), []
         for d, (w, b, u) in enumerate(directions):
-            z, r, c = gates[d]
             states = out[:, :, d * n : (d + 1) * n]
-            prev = np.zeros_like(states)  # the state each step starts from
-            if d == 0:
-                prev[1:] = states[:-1]
-            else:
-                prev[:-1] = states[1:]
-            u_zr_t, u_h_t = u.data[:, : 2 * n].T, u.data[:, 2 * n :].T
-            g_proj = np.empty((steps, rows, 3 * n))
+            w_t, u_zr_t, u_h_t = w.data.T, u.data[:, : 2 * n].T, u.data[:, 2 * n :].T
+            gw, gb, gu = np.zeros(w.shape), np.zeros(b.shape), np.zeros(u.shape)
             gh = np.zeros((rows, n))
             for t in reversed(orders[d]):
-                gh = gh + g[t, :, d * n : (d + 1) * n]
-                zt, rt, ct, hp = z[t], r[t], c[t], prev[t]
-                g_pre = g_proj[t]
-                g_pre[:, :n] = gh * (ct - hp) * (zt * (1.0 - zt))
-                g_pre[:, 2 * n :] = gh * zt * (1.0 - ct * ct)
+                gh += g[t, :, d * n : (d + 1) * n]
+                m = live[t]
+                zt, rt, ct = gates[d][t]
+                before = t - 1 if d == 0 else t + 1  # the step whose state this one starts from
+                hp = states[before, :m] if 0 <= before < steps else np.zeros((m, n))
+                ghm = gh[:m]
+                g_pre = np.empty((m, 3 * n))
+                g_pre[:, :n] = ghm * (ct - hp) * (zt * (1.0 - zt))
+                g_pre[:, 2 * n :] = ghm * zt * (1.0 - ct * ct)
                 g_rh = g_pre[:, 2 * n :] @ u_h_t
                 g_pre[:, n : 2 * n] = g_rh * hp * (rt * (1.0 - rt))
-                gh = gh * (1.0 - zt) + g_rh * rt + g_pre[:, : 2 * n] @ u_zr_t
-            g_flat = g_proj.reshape(steps * rows, 3 * n)
-            if gx is None:
-                gx = g_flat @ w.data.T
-            else:
-                gx += g_flat @ w.data.T
-            prev = prev.reshape(steps * rows, n)
-            g_u = np.concatenate(
-                [prev.T @ g_flat[:, : 2 * n], (r.reshape(steps * rows, n) * prev).T @ g_flat[:, 2 * n :]],
-                axis=1,
-            )
-            grads += [flat.T @ g_flat, g_flat.sum(axis=0), g_u]
-        return (gx.reshape(x.shape), *grads)
+                gh[:m] = ghm * (1.0 - zt) + g_rh * rt + g_pre[:, : 2 * n] @ u_zr_t
+                gx[t, :m] += g_pre @ w_t
+                gw += x.data[t, :m].T @ g_pre
+                gb += g_pre.sum(axis=0)
+                gu[:, : 2 * n] += hp.T @ g_pre[:, : 2 * n]
+                gu[:, 2 * n :] += (rt * hp).T @ g_pre[:, 2 * n :]
+            grads += [gw, gb, gu]
+        return (gx, *grads)
 
     return _record((x, *params), out, rule)
 

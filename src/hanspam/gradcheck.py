@@ -166,6 +166,19 @@ def check_dilated_conv1d() -> float:
     return worst
 
 
+def check_masked_dilated_conv1d() -> float:
+    """Rows of real lengths 5, 3 and 1, longest first as ``model.collate``
+    orders them, in the two modes the model's stacks use."""
+    rng = _rng(15)
+    mask = np.arange(5) < np.array([[5], [3], [1]])
+    worst = 0.0
+    for k, d, mode in ((3, 1, "centred"), (4, 1, "centred"), (2, 2, "same"), (3, 1, "same")):
+        x, f = _param(rng, 5, 3, 2), _param(rng, k, 2, 3)
+        build = lambda: _weighted(ad.dilated_conv1d(x, f, d, mode, mask=mask), _rng(151))
+        worst = max(worst, check_scalar_fn(build, [x, f]))
+    return worst
+
+
 def check_stack() -> float:
     rng = _rng(12)
     parts = [_param(rng, 3, 2) for _ in range(3)]
@@ -231,13 +244,18 @@ def check_bigru() -> float:
 
 def check_fused_bigru() -> float:
     """``ad.bigru`` with in 3 and hidden 2. Row 0's padded tail makes the
-    reverse scan start on padding; row 1 has one real step."""
+    reverse scan start on padding; row 1 has one real step. Then the same
+    lengths longest first, as ``model.collate`` orders rows, so that each
+    step runs on fewer rows than the last."""
     rng = _rng(14)
     x = _param(rng, 5, 3, 3)
-    mask = np.array([[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
     weights = [_param(rng, *shape) for _ in range(2) for shape in ((3, 6), (6,), (2, 6))]
-    build = lambda: _weighted(ad.bigru(x, mask, *weights), _rng(141))
-    return check_scalar_fn(build, [x] + weights)
+    worst = 0.0
+    for lengths in ([3, 1, 5], [5, 3, 1]):
+        mask = np.arange(5) < np.array(lengths)[:, None]
+        build = lambda: _weighted(ad.bigru(x, mask, *weights), _rng(141))
+        worst = max(worst, check_scalar_fn(build, [x] + weights))
+    return worst
 
 
 def check_attention_pool() -> float:
@@ -376,6 +394,7 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
     ("dropout", check_dropout),
     ("softmax", check_softmax),
     ("dilated_conv1d", check_dilated_conv1d),
+    ("dilated_conv1d_masked", check_masked_dilated_conv1d),
     ("stack", check_stack),
     ("transpose", check_transpose),
     ("embedding_lookup", check_embedding_lookup),

@@ -8,12 +8,14 @@ vectors into a document vector feeding a two-class softmax head.
 
 Batched forwards are time-major. Each level carries one ``[steps, rows, dim]``
 tensor: words from the embedding lookup through the convolutional stack, the
-word BiGRU and word attention, with one row per real sentence of the batch;
-then sentences, gathered from those rows into ``[S, docs, dim]`` with padding
-slots reading a zero row, through the sentence BiGRU and attention. Every
-convolution is ``autodiff.dilated_conv1d`` and every BiGRU one
-``autodiff.bigru``, whose update gate is exactly 0 on a padded step, so the
-state carries over. Attention turns padding into an additive bias, -inf on a
+word BiGRU and word attention, with one row per real sentence of the batch,
+longest first; then sentences, gathered from those rows into ``[S, docs, dim]``
+with padding slots reading a zero row, through the sentence BiGRU and
+attention. Every convolution is ``autodiff.dilated_conv1d`` and every BiGRU
+one ``autodiff.bigru``; both compute a step on its real rows only, which the
+length order makes a prefix. A convolution reads padding as zero, and a
+BiGRU's update gate is exactly 0 on a padded step, so the state carries
+over. Attention turns padding into an additive bias, -inf on a
 padded step's score, which gives it weight 0. The whole model composes from
 differentiable primitives, so every part stays gradient-checkable.
 """
@@ -225,18 +227,20 @@ def conv_feature_stack(
     params: dict[str, Tensor],
     windows: tuple[int, ...],
     drop: Dropout = NO_DROPOUT,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-window same-padded convolutions over the token axis, ReLU, concat.
 
     ``x`` is ``[steps, rows, dim]``; window ``w`` sees ``(w-1)//2`` earlier
     positions, and tap ``i`` reads position ``t - (w-1)//2 + i``. Outside the
-    sequence it reads zeros.
+    sequence, and off ``mask`` (``[rows, steps]``), it reads zeros; a
+    position off the mask gets ``relu(bias)``.
     """
     maps = []
     for w in windows:
         # a convolution applies its last tap to the earliest position
         kernel = ad.stack([params[f"cnn.w{w}.tap{i}"] for i in reversed(range(w))])
-        conv = ad.dilated_conv1d(x, kernel, mode="centred")
+        conv = ad.dilated_conv1d(x, kernel, mode="centred", mask=mask)
         maps.append(ad.relu(ad.add(conv, params[f"cnn.w{w}.bias"])))
         del conv  # hold no window's raw output past its use
     # without a tape, and with no reference left in the caller, this frees the
@@ -251,27 +255,30 @@ def tcn_stack(
     levels: int,
     kernel: int,
     drop: Dropout = NO_DROPOUT,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
     """Stacked causal dilated conv blocks (dilation doubling) with residuals.
 
     ``x`` is ``[steps, rows, dim]``; a block's residual goes through its
-    one-tap ``proj`` when the block changes the channel count.
+    one-tap ``proj`` when the block changes the channel count. Every
+    convolution reads positions off ``mask`` (``[rows, steps]``) as zeros.
     """
     for lvl in range(levels):
         taps = ad.stack([params[f"tcn.block{lvl}.tap{i}"] for i in range(kernel)])
-        conv = ad.dilated_conv1d(x, taps, d=2**lvl, mode="same")
+        conv = ad.dilated_conv1d(x, taps, d=2**lvl, mode="same", mask=mask)
         y = drop.apply(ad.relu(ad.add(conv, params[f"tcn.block{lvl}.bias"])))
         del conv
         proj = params.get(f"tcn.block{lvl}.proj")
-        x = ad.add(y, x if proj is None else ad.dilated_conv1d(x, ad.stack([proj])))
+        x = ad.add(y, x if proj is None else ad.dilated_conv1d(x, ad.stack([proj]), mask=mask))
     return x
 
 
 @dataclass
 class Batch:
     """Model-ready arrays for a group of documents. Each real sentence is one
-    row of ``tokens``, in document-major order, and each distinct
-    ``(word id, bucket ids)`` token is listed once, padding first."""
+    row of ``tokens``, longest first, so the rows still real at a step are a
+    prefix of them; ``sent_rows`` says which row holds which sentence. Each
+    distinct ``(word id, bucket ids)`` token is listed once, padding first."""
 
     labels: np.ndarray  # [B]
     sent_rows: np.ndarray  # [B, S] row of tokens per sentence slot; n for a padding slot
@@ -292,6 +299,9 @@ class Batch:
 
 
 def collate(docs: Sequence[EncodedDocument]) -> Batch:
+    """One ``Batch`` for ``docs``. Sentence rows are sorted by real length,
+    longest first, with ties in document order; distinct tokens are numbered
+    in order of first appearance in document order."""
     if not docs:
         raise ValueError("cannot collate an empty batch")
     for doc in docs:
@@ -308,14 +318,16 @@ def collate(docs: Sequence[EncodedDocument]) -> Batch:
     sent_rows = np.full((len(docs), s), n, dtype=np.intp)
     tokens = np.zeros((n, t), dtype=np.intp)
     index: dict[tuple[int, tuple[int, ...]], int] = {(PAD, ()): 0}
+    # a stable sort keeps equal lengths in document order
+    by_length = np.argsort([-len(ids) for d in docs for ids in d.word_ids], kind="stable")
+    rows = iter(np.argsort(by_length))  # each sentence's rank, in document order
 
-    row = 0
     for di, doc in enumerate(docs):
         for si in range(doc.n_sentences):
             keys = list(zip(doc.word_ids[si].tolist(), doc.bucket_ids[si]))
+            row = next(rows)
             sent_rows[di, si] = row
             tokens[row, : len(keys)] = [index.setdefault(k, len(index)) for k in keys]
-            row += 1
 
     words, buckets = zip(*index)  # in order of first appearance
     offs = np.cumsum([0, *map(len, buckets)])
@@ -422,8 +434,7 @@ class HanModel:
 
     def _embed(self, batch: Batch) -> Tensor:
         """Token vectors ``[T, rows, embed]``: each distinct token composed
-        once, then gathered by position. Padded positions are exact zeros, so
-        convolution windows read zero padding there."""
+        once, then gathered by position. Padded positions are exact zeros."""
         vectors = ad.embedding_lookup(
             self.params["embed.word"],
             self.params["embed.bucket"],
@@ -440,29 +451,31 @@ class HanModel:
         """Class probabilities ``[docs x 2]`` plus word/sentence attention maps.
 
         Word attention ``alpha_w`` is ``[n, T]``, one row per real sentence in
-        ``batch.tokens`` order; sentence attention ``alpha_s`` is ``[docs, S]``.
+        ``batch.tokens`` order (``batch.sent_rows`` maps sentences to rows);
+        sentence attention ``alpha_s`` is ``[docs, S]``.
         """
         cfg = self.config
         drop = Dropout(p=cfg.dropout, seed=self.seed, step=step) if training else NO_DROPOUT
+        mask = batch.tok_mask
         # the stacks get the embedding as their only reference, so it can go
         # as soon as they are done with it
         if cfg.variant == "cnn":
-            x = conv_feature_stack(self._embed(batch), self.params, cfg.cnn_windows, drop)
+            x = conv_feature_stack(self._embed(batch), self.params, cfg.cnn_windows, drop, mask)
         elif cfg.variant == "tcn":
-            x = tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, cfg.tcn_kernel, drop)
+            x = tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, cfg.tcn_kernel, drop, mask)
         else:
             x = self._embed(batch)
 
         word_ann = bigru_encode(
             x,
-            batch.tok_mask,
+            mask,
             _gru_params(self.params, "word", "fw"),
             _gru_params(self.params, "word", "bw"),
         )
         del x  # without a tape, nothing holds the word features past the BiGRU
         sent_vec, alpha_w = attention_pool(
             word_ann,
-            batch.tok_mask,
+            mask,
             self.params["word_attn.w"],
             self.params["word_attn.b"],
             self.params["word_attn.u"],
@@ -495,7 +508,7 @@ class HanModel:
         batch = collate([doc])
         probs, alpha_w, alpha_s = self.forward_batch(batch, training=False)
         words = [
-            alpha_w.data[i, : len(doc.word_ids[i])].copy() for i in range(doc.n_sentences)
+            alpha_w.data[batch.sent_rows[0, i], : len(ids)].copy() for i, ids in enumerate(doc.word_ids)
         ]
         trace = AttentionTrace(
             word_weights=words,

@@ -203,6 +203,66 @@ class TestDilatedConv:
         with pytest.raises(ParameterError):
             ad.dilated_conv1d(Tensor([1.0, 2.0]), Tensor([1.0]), mode="full")
 
+    @staticmethod
+    def _mask(rng, kind, rows, n):
+        """``[rows, n]``: real lengths longest first, as ``collate`` orders rows, or scattered gaps."""
+        if kind == "length-sorted":
+            lengths = np.sort(rng.integers(0, n + 1, rows))[::-1]
+            return np.arange(n) < lengths[:, None]
+        return rng.random((rows, n)) > 0.4
+
+    @pytest.mark.parametrize("one_position_blocks", [False, True])
+    @pytest.mark.parametrize("kind", ["length-sorted", "scattered"])
+    @pytest.mark.parametrize("mode", ["valid", "same", "centred"])
+    def test_mask_equals_masked_input_and_output(self, mode, kind, one_position_blocks, monkeypatch):
+        # the oracle: zero the input off the mask, convolve every row in full,
+        # zero the output off the mask (in valid mode output s is masked as
+        # input s + span); values and gradients agree to 1e-12
+        if one_position_blocks:
+            monkeypatch.setattr(ad, "_TEMP_ELEMS", 1)
+        rng = np.random.default_rng(23)
+        for n, k, d in ((7, 3, 2), (6, 2, 1), (9, 4, 1), (5, 1, 3), (3, 4, 1)):
+            span = (k - 1) * d
+            if mode == "valid" and n <= span:
+                continue
+            mask = self._mask(rng, kind, 7, n)
+            keep_in = mask.T[:, :, None].astype(np.float64)
+            keep_out = keep_in[span:] if mode == "valid" else keep_in
+            x = Tensor(rng.uniform(-1, 1, (n, 7, 3)), requires_grad=True)
+            f = Tensor(rng.uniform(-1, 1, (k, 3, 4)), requires_grad=True)
+            weight = rng.uniform(-1, 1, keep_out.shape[:2] + (4,))
+            results = []
+            for build in (
+                lambda: ad.dilated_conv1d(x, f, d, mode, mask=mask),
+                lambda: ad.mul(ad.dilated_conv1d(ad.mul(x, keep_in), f, d, mode), keep_out),
+            ):
+                x.zero_grad(), f.zero_grad()
+                with Tape() as tape:
+                    out = build()
+                    loss = ad.tsum(ad.mul(out, weight))
+                tape.backward(loss)
+                results.append((out.data, ad.dense_grad(x), ad.dense_grad(f)))
+            for ours, oracle in zip(*results):
+                assert np.max(np.abs(ours - oracle)) < 1e-12
+            assert np.all(results[0][0][~keep_out[..., 0].astype(bool)] == 0.0)
+            assert np.all(results[0][1][~mask.T] == 0.0)  # no gradient off the mask
+
+    @pytest.mark.parametrize("kind", ["length-sorted", "scattered"])
+    @pytest.mark.parametrize("mode", ["valid", "same", "centred"])
+    def test_nan_off_the_mask_changes_nothing(self, mode, kind):
+        rng = np.random.default_rng(24)
+        for n, k, d in ((8, 3, 1), (9, 2, 3), (6, 4, 1)):
+            mask = self._mask(rng, kind, 9, n)
+            x, f = rng.uniform(-1, 1, (n, 9, 5)), Tensor(rng.uniform(-1, 1, (k, 5, 3)))
+            clean = ad.dilated_conv1d(Tensor(x), f, d, mode, mask=mask).data
+            x[~mask.T] = np.nan
+            assert ad.dilated_conv1d(Tensor(x), f, d, mode, mask=mask).data.tobytes() == clean.tobytes()
+
+    def test_mask_shape_checked(self):
+        x, f = Tensor(np.ones((4, 2, 3))), Tensor(np.ones((2, 3, 1)))
+        with pytest.raises(ShapeError, match=r"dilated_conv1d expects a mask\[rows, steps\] = \[2, 4\]"):
+            ad.dilated_conv1d(x, f, mask=np.ones((4, 2), dtype=bool))
+
 
 class TestBigru:
     """``ad.bigru`` on its own; ``tests/test_model.py`` checks it against a per-step GRU."""

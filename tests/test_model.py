@@ -452,6 +452,12 @@ def _random_mask(rng, rows, steps):
     return mask
 
 
+def _sorted_mask(rng, rows, steps):
+    """Rows of real lengths 1..steps, longest first, as ``collate`` orders them."""
+    lengths = np.sort(rng.integers(1, steps + 1, rows))[::-1]
+    return np.arange(steps) < lengths[:, None]
+
+
 class TestSequenceOpsMatchPerStepReference:
     """Whole-sequence BiGRU and attention against per-step loops, values and gradients."""
 
@@ -491,6 +497,28 @@ class TestSequenceOpsMatchPerStepReference:
             lambda: ad.stack(per_step_bigru(unstack(x), mask, fw, bw)),
             [x] + gates,
         )
+
+    def test_bigru_on_length_sorted_rows(self):
+        # rows longest first, as collate orders them: each step runs on its
+        # live rows only, more than one BLAS block of them
+        rng = np.random.default_rng(351)
+        steps, rows, in_dim, hidden = 12, 45, 6, 8
+        x = Tensor(rng.uniform(-1, 1, (steps, rows, in_dim)), requires_grad=True)
+        fw, bw = random_gates(rng, in_dim, hidden), random_gates(rng, in_dim, hidden)
+        gates = list(vars(fw).values()) + list(vars(bw).values())
+        for t in gates:
+            t.requires_grad = True
+        mask = _sorted_mask(rng, rows, steps)
+        assert_matches_reference(
+            lambda: bigru_encode(x, mask, fw, bw),
+            lambda: ad.stack(per_step_bigru(unstack(x), mask, fw, bw)),
+            [x] + gates,
+        )
+        # padding past a step's last live row is never read
+        clean = bigru_encode(x, mask, fw, bw).data
+        dirty = x.data.copy()
+        dirty[~mask.T] = np.nan
+        assert bigru_encode(Tensor(dirty), mask, fw, bw).data.tobytes() == clean.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
     @pytest.mark.parametrize("seed", range(3))
@@ -564,6 +592,34 @@ class TestForward:
         encoded = [encode_document(d, model.vocab, model.table) for d in docs]
         model.forward_batch(collate(encoded))
         assert rows == [6, 2]  # word level: 2 + 4 sentences; sentence level: 2 documents
+
+    def test_trace_maps_sentences_through_sent_rows(self):
+        # sentences shortest first: collate puts them in the reverse rows
+        model = small_model("cnn")
+        doc = EmailDocument(label=1, sentences=[["alpha"], ["beta", "gamma"], ["delta", "alpha", "unseen"]])
+        enc = encode_document(doc, model.vocab, model.table)
+        batch = collate([enc])
+        assert batch.sent_rows.tolist() == [[2, 1, 0]]
+        _, alpha_w, _ = model.forward_batch(batch)
+        _, trace = model.forward_document(enc)
+        for i, ids in enumerate(enc.word_ids):
+            row = alpha_w.data[batch.sent_rows[0, i]]
+            assert len(trace.word_weights[i]) == len(ids)
+            assert np.array_equal(trace.word_weights[i], row[: len(ids)])
+            assert np.all(row[len(ids) :] == 0.0)
+
+    @pytest.mark.parametrize("variant", ["none", "cnn", "tcn"])
+    def test_document_order_does_not_change_probabilities(self, variant):
+        model = small_model(variant)
+        words = ["alpha", "beta", "gamma", "delta", "unseen"]
+        docs = [
+            EmailDocument(label=i % 2, sentences=[[words[(i + j) % 5] for j in range(n)] for n in lengths])
+            for i, lengths in enumerate(([1, 4], [3], [2, 2, 5], [5, 1, 3, 1]))
+        ]
+        encoded = [encode_document(d, model.vocab, model.table) for d in docs]
+        ahead, _, _ = model.forward_batch(collate(encoded))
+        reversed_, _, _ = model.forward_batch(collate(encoded[::-1]))
+        assert np.max(np.abs(ahead.data - reversed_.data[::-1])) < 1e-12
 
     @pytest.mark.parametrize("variant", ["none", "cnn", "tcn"])
     def test_padding_invariance(self, variant):

@@ -387,13 +387,14 @@ class TestMakeBatches:
         batch = collate(encoded)
         assert batch.sent_rows.shape[1] == 3
         assert batch.tokens.shape[1] == 3
-        # one token row per real sentence; the padding slot points past the last one
-        assert batch.sent_rows.tolist() == [[0, 1, 5], [2, 3, 4]]
+        # one token row per real sentence, longest first and equal lengths in
+        # document order; the padding slot points past the last row
+        assert batch.sent_rows.tolist() == [[1, 2, 5], [3, 0, 4]]
         assert batch.sent_mask.tolist() == [[True, True, False], [True, True, True]]
         # token slots past a sentence's end hold entry 0, the padding token: PAD word, no buckets
         assert batch.tok_mask.tolist() == [
-            [True, True, False], [True, False, False], [True, False, False],
-            [True, True, True], [True, False, False],
+            [True, True, True], [True, True, False], [True, False, False],
+            [True, False, False], [True, False, False],
         ]
         assert batch.token_words[0] == PAD and batch.token_offs[:2].tolist() == [0, 0]
 
