@@ -662,14 +662,15 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid", mask=None) -> Tensor:
     return _record((x, f), out.reshape(length) if vector else out, rule)
 
 
-def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
+def bigru(x, mask, w, b, u) -> Tensor:
     """Bidirectional GRU over ``x[steps, rows, in]`` as one tape entry.
 
     Returns ``[steps, rows, 2*hidden]``: per step, the state of the direction
     that runs forward, then that of the one that runs from the last step
-    back, each from a zero state. A direction's ``w`` is ``[in, 3*hidden]``,
-    ``b`` ``[3*hidden]`` and ``u`` ``[hidden, 3*hidden]``, gate blocks in
-    z|r|h order. With ``p = x_t @ w + b`` split the same way, a step is::
+    back, each from a zero state. ``w`` is ``[2, in, 3*hidden]``, ``b``
+    ``[2, 3*hidden]`` and ``u`` ``[2, hidden, 3*hidden]``: the first axis is
+    the direction, forward first, and each direction's gate blocks are in
+    z|r|h order. With ``p = x_t @ w[d] + b[d]`` split the same way, a step is::
 
         z = sigmoid(p_z + h @ u_z)      r = sigmoid(p_r + h @ u_r)
         c = tanh(p_h + (r * h) @ u_h)   h = (1 - z) * h + z * c
@@ -685,34 +686,33 @@ def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
     arXiv 1604.01946). z, r and c are kept only while a tape records; the
     rule is one backprop-through-time loop per direction.
     """
-    x = _wrap(x)
-    params = tuple(_wrap(p) for p in (w_fw, b_fw, u_fw, w_bw, b_bw, u_bw))
+    x, w, b, u = (_wrap(t) for t in (x, w, b, u))
     if x.ndim != 3 or x.shape[0] < 1:
         raise ShapeError(f"bigru expects x[steps >= 1, rows, in], got {x.shape}")
     steps, rows, in_dim = x.shape
-    n = params[2].shape[0]
-    directions = (params[:3], params[3:])
-    for w, b, u in directions:
-        if w.shape != (in_dim, 3 * n) or b.shape != (3 * n,) or u.shape != (n, 3 * n):
-            raise ShapeError(
-                f"bigru expects w[{in_dim}, 3u], b[3u] and u[u, 3u] with u = {n}, got {w.shape}, {b.shape}, {u.shape}"
-            )
+    n = u.shape[1] if u.ndim == 3 else -1
+    if w.shape != (2, in_dim, 3 * n) or b.shape != (2, 3 * n) or u.shape != (2, n, 3 * n):
+        raise ShapeError(
+            f"bigru expects w[2, {in_dim}, 3u], b[2, 3u] and u[2, u, 3u] with u = {n}, "
+            f"got {w.shape}, {b.shape}, {u.shape}"
+        )
     live, prefix = _live_rows(mask, rows, steps, "bigru")
     keep = None if prefix else np.asarray(mask, dtype=np.float64).T[:, :, None]
     orders = (range(steps), range(steps - 1, -1, -1))
-    record = _recording((x, *params))
+    record = _recording((x, w, b, u))
     out = np.empty((steps, rows, 2 * n))
     gates = []  # per direction while recording: per step, z, r and c on its live rows
 
-    for d, (w, b, u) in enumerate(directions):
-        u_zr, u_h = u.data[:, : 2 * n], u.data[:, 2 * n :]
+    for d in range(2):
+        w_d, b_d = w.data[d], b.data[d]
+        u_zr, u_h = u.data[d, :, : 2 * n], u.data[d, :, 2 * n :]
         saved = [None] * steps if record else None
         h = np.zeros((rows, n))
         for t in orders[d]:
             m = live[t]
             hm = h[:m]
-            p = x.data[t, :m] @ w.data
-            p += b.data
+            p = x.data[t, :m] @ w_d
+            p += b_d
             zr = _logistic(p[:, : 2 * n] + hm @ u_zr)
             z, r = zr[:, :n], zr[:, n:]
             if keep is not None:
@@ -725,11 +725,11 @@ def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
         gates.append(saved)
 
     def rule(g):
-        gx, grads = np.zeros(x.shape), []
-        for d, (w, b, u) in enumerate(directions):
+        gx, gw, gb, gu = np.zeros(x.shape), np.zeros(w.shape), np.zeros(b.shape), np.zeros(u.shape)
+        for d in range(2):
             states = out[:, :, d * n : (d + 1) * n]
-            w_t, u_zr_t, u_h_t = w.data.T, u.data[:, : 2 * n].T, u.data[:, 2 * n :].T
-            gw, gb, gu = np.zeros(w.shape), np.zeros(b.shape), np.zeros(u.shape)
+            w_t, u_zr_t, u_h_t = w.data[d].T, u.data[d, :, : 2 * n].T, u.data[d, :, 2 * n :].T
+            gw_d, gb_d, gu_d = gw[d], gb[d], gu[d]
             gh = np.zeros((rows, n))
             for t in reversed(orders[d]):
                 gh += g[t, :, d * n : (d + 1) * n]
@@ -745,14 +745,13 @@ def bigru(x, mask, w_fw, b_fw, u_fw, w_bw, b_bw, u_bw) -> Tensor:
                 g_pre[:, n : 2 * n] = g_rh * hp * (rt * (1.0 - rt))
                 gh[:m] = ghm * (1.0 - zt) + g_rh * rt + g_pre[:, : 2 * n] @ u_zr_t
                 gx[t, :m] += g_pre @ w_t
-                gw += x.data[t, :m].T @ g_pre
-                gb += g_pre.sum(axis=0)
-                gu[:, : 2 * n] += hp.T @ g_pre[:, : 2 * n]
-                gu[:, 2 * n :] += (rt * hp).T @ g_pre[:, 2 * n :]
-            grads += [gw, gb, gu]
-        return (gx, *grads)
+                gw_d += x.data[t, :m].T @ g_pre
+                gb_d += g_pre.sum(axis=0)
+                gu_d[:, : 2 * n] += hp.T @ g_pre[:, : 2 * n]
+                gu_d[:, 2 * n :] += (rt * hp).T @ g_pre[:, 2 * n :]
+        return gx, gw, gb, gu
 
-    return _record((x, *params), out, rule)
+    return _record((x, w, b, u), out, rule)
 
 
 def dropout_mask(shape, p: float, seed: int, step: int, salt: int = 0) -> Array:

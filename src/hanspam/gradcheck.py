@@ -18,7 +18,6 @@ from .model import (
     HanConfig,
     HanModel,
     attention_pool,
-    bigru_encode,
     collate,
     conv_feature_stack,
     tcn_stack,
@@ -219,42 +218,23 @@ def check_embedding_lookup() -> float:
     return max(check_scalar_fn(b, [words, buckets]) for b in (build, build_repeated))
 
 
-def _toy_gru(rng, in_dim, hidden):
-    from .model import GruParams
-
-    return GruParams(
-        w_z=_param(rng, in_dim, hidden), u_z=_param(rng, hidden, hidden), b_z=_param(rng, hidden),
-        w_r=_param(rng, in_dim, hidden), u_r=_param(rng, hidden, hidden), b_r=_param(rng, hidden),
-        w_h=_param(rng, in_dim, hidden), u_h=_param(rng, hidden, hidden), b_h=_param(rng, hidden),
-    )
-
-
-def _gru_tensors(g) -> list[Tensor]:
-    return [getattr(g, f) for f in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")]
-
-
-def check_bigru() -> float:
-    rng = _rng(8)
-    x = _param(rng, 4, 2, 3)
-    mask = np.array([[True, True, True, False], [True, False, True, True]])
-    fw, bw = _toy_gru(rng, 3, 4), _toy_gru(rng, 3, 4)
-    build = lambda: _weighted(bigru_encode(x, mask, fw, bw), _rng(81))
-    return check_scalar_fn(build, [x] + _gru_tensors(fw) + _gru_tensors(bw))
-
-
 def check_fused_bigru() -> float:
-    """``ad.bigru`` with in 3 and hidden 2. Row 0's padded tail makes the
-    reverse scan start on padding; row 1 has one real step. Then the same
-    lengths longest first, as ``model.collate`` orders rows, so that each
-    step runs on fewer rows than the last."""
+    """``ad.bigru`` with in 3 and hidden 2. On 3 rows of 5 steps, row 0's
+    padded tail makes the reverse scan start on padding and row 1 has one
+    real step; then the same lengths longest first, as ``model.collate``
+    orders rows, so that each step runs on fewer rows than the last. On 2
+    rows of 4 steps, row 1 has a hole inside it, which no length order makes
+    a prefix."""
     rng = _rng(14)
     x = _param(rng, 5, 3, 3)
-    weights = [_param(rng, *shape) for _ in range(2) for shape in ((3, 6), (6,), (2, 6))]
+    fw, bw = ([rng.uniform(-1.0, 1.0, shape) for shape in ((3, 6), (6,), (2, 6))] for _ in range(2))
+    weights = [Tensor(np.stack(pair), requires_grad=True) for pair in zip(fw, bw)]
+    cases = [(x, np.arange(5) < np.array(lengths)[:, None]) for lengths in ([3, 1, 5], [5, 3, 1])]
+    cases.append((_param(rng, 4, 2, 3), np.array([[True, True, True, False], [True, False, True, True]])))
     worst = 0.0
-    for lengths in ([3, 1, 5], [5, 3, 1]):
-        mask = np.arange(5) < np.array(lengths)[:, None]
-        build = lambda: _weighted(ad.bigru(x, mask, *weights), _rng(141))
-        worst = max(worst, check_scalar_fn(build, [x] + weights))
+    for inputs, mask in cases:
+        build = lambda: _weighted(ad.bigru(inputs, mask, *weights), _rng(141))
+        worst = max(worst, check_scalar_fn(build, [inputs] + weights))
     return worst
 
 
@@ -274,8 +254,8 @@ def check_conv_stack() -> float:
     x = _param(rng, 5, 2, 3)
     params = {}
     for w in windows:
-        for i in range(w):
-            params[f"cnn.w{w}.tap{i}"] = _param(rng, 3, maps)
+        taps = [rng.uniform(-1.0, 1.0, (3, maps)) for _ in range(w)]
+        params[f"cnn.w{w}.kernel"] = Tensor(np.stack(taps[::-1]), requires_grad=True)
         params[f"cnn.w{w}.bias"] = _param(rng, maps)
 
     build = lambda: _weighted(conv_feature_stack(x, params, windows), _rng(101))
@@ -289,13 +269,12 @@ def check_tcn_stack() -> float:
     params = {}
     for lvl in range(levels):
         cin = in_dim if lvl == 0 else channels
-        for i in range(kernel):
-            params[f"tcn.block{lvl}.tap{i}"] = _param(rng, cin, channels)
+        params[f"tcn.block{lvl}.kernel"] = _param(rng, kernel, cin, channels)
         params[f"tcn.block{lvl}.bias"] = _param(rng, channels)
         if cin != channels:
-            params[f"tcn.block{lvl}.proj"] = _param(rng, cin, channels)
+            params[f"tcn.block{lvl}.proj"] = _param(rng, 1, cin, channels)
 
-    build = lambda: _weighted(tcn_stack(x, params, levels, kernel), _rng(111))
+    build = lambda: _weighted(tcn_stack(x, params, levels), _rng(111))
     return check_scalar_fn(build, [x] + list(params.values()))
 
 
@@ -399,7 +378,6 @@ SUITE: list[tuple[str, Callable[[], float]]] = [
     ("transpose", check_transpose),
     ("embedding_lookup", check_embedding_lookup),
     ("bigru", check_fused_bigru),
-    ("bigru_encode", check_bigru),
     ("attention_pool", check_attention_pool),
     ("conv_feature_stack", check_conv_stack),
     ("tcn_stack", check_tcn_stack),

@@ -13,11 +13,13 @@ longest first; then sentences, gathered from those rows into ``[S, docs, dim]``
 with padding slots reading a zero row, through the sentence BiGRU and
 attention. Every convolution is ``autodiff.dilated_conv1d`` and every BiGRU
 one ``autodiff.bigru``; both compute a step on its real rows only, which the
-length order makes a prefix. A convolution reads padding as zero, and a
-BiGRU's update gate is exactly 0 on a padded step, so the state carries
-over. Attention turns padding into an additive bias, -inf on a
-padded step's score, which gives it weight 0. The whole model composes from
-differentiable primitives, so every part stays gradient-checkable.
+length order makes a prefix, and each reads its weights in the shape they
+are stored in (``init_params``), so a forward joins no parameters. A
+convolution reads padding as zero, and a BiGRU's update gate is exactly 0 on
+a padded step, so the state carries over. Attention turns padding into an
+additive bias, -inf on a padded step's score, which gives it weight 0. The
+whole model composes from differentiable primitives, so every part stays
+gradient-checkable.
 """
 
 from __future__ import annotations
@@ -127,21 +129,6 @@ class HanConfig:
 
 
 @dataclass
-class GruParams:
-    """One direction's gate projections: update z, reset r, candidate h."""
-
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
-
-
-@dataclass
 class Dropout:
     """Per-forward dropout plan; (seed, step) plus a running site salt."""
 
@@ -160,41 +147,25 @@ class Dropout:
 NO_DROPOUT = Dropout()
 
 
-def _check_mask(mask: np.ndarray | None, rows: int, steps: int, op: str) -> None:
-    if mask is not None and np.shape(mask) != (rows, steps):
-        raise ad.ShapeError(f"{op} expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}")
-
-
 def _padding_bias(mask: np.ndarray | None, rows: int, steps: int) -> np.ndarray | None:
     """Additive ``[rows, steps]`` attention bias: 0 at a real step, -inf at padding; None without a mask."""
-    _check_mask(mask, rows, steps, "attention_pool")
-    return None if mask is None else np.where(mask, 0.0, -np.inf)
+    if mask is None:
+        return None
+    if np.shape(mask) != (rows, steps):
+        raise ad.ShapeError(
+            f"attention_pool expects a mask[rows, steps] = {[rows, steps]}, got {list(np.shape(mask))}"
+        )
+    return np.where(mask, 0.0, -np.inf)
 
 
-def bigru_encode(
-    x: Tensor,
-    mask: np.ndarray | None,
-    forward: GruParams,
-    backward: GruParams,
-) -> Tensor:
+def bigru_encode(x: Tensor, mask: np.ndarray | None, w: Tensor, b: Tensor, u: Tensor) -> Tensor:
     """Annotations ``[steps, rows, 2*hidden]``: ``[fwd_state; bwd_state]`` per step.
 
-    ``x`` is ``[steps, rows, in]`` and ``mask`` ``[rows, steps]``; a masked
-    step holds its state. Both directions run as one ``ad.bigru`` op; each
-    direction's gate blocks are joined in z|r|h order at call time, so the
-    parameters stay one tensor per gate.
+    The model's BiGRU layer, one ``ad.bigru`` op (see there for the shapes
+    and the mask). It is a function of its own so that a profiler can time
+    it by name; each level passes its ``{level}_gru.w``, ``.b`` and ``.u``.
     """
-    if x.ndim != 3 or x.shape[0] < 1 or any(x.shape[2] != g.w_z.shape[0] for g in (forward, backward)):
-        raise ad.ShapeError(
-            f"bigru_encode expects x[steps >= 1, rows, in] with in = {forward.w_z.shape[0]}, got x{x.shape}"
-        )
-    _check_mask(mask, x.shape[1], x.shape[0], "bigru_encode")
-    joined = (
-        ad.concat([getattr(g, f"{kind}_{gate}") for gate in "zrh"], axis=-1)
-        for g in (forward, backward)
-        for kind in ("w", "b", "u")
-    )
-    return ad.bigru(x, mask, *joined)
+    return ad.bigru(x, mask, w, b, u)
 
 
 def attention_pool(
@@ -232,15 +203,15 @@ def conv_feature_stack(
     """Multi-window same-padded convolutions over the token axis, ReLU, concat.
 
     ``x`` is ``[steps, rows, dim]``; window ``w`` sees ``(w-1)//2`` earlier
-    positions, and tap ``i`` reads position ``t - (w-1)//2 + i``. Outside the
-    sequence, and off ``mask`` (``[rows, steps]``), it reads zeros; a
-    position off the mask gets ``relu(bias)``.
+    positions. Its ``cnn.w{w}.kernel`` is ``[w, dim, maps]`` in the order
+    ``dilated_conv1d`` applies it: entry ``j`` reads position
+    ``t + (w-1)//2 - j``, so the last entry reads the earliest position.
+    Outside the sequence, and off ``mask`` (``[rows, steps]``), it reads
+    zeros; a position off the mask gets ``relu(bias)``.
     """
     maps = []
     for w in windows:
-        # a convolution applies its last tap to the earliest position
-        kernel = ad.stack([params[f"cnn.w{w}.tap{i}"] for i in reversed(range(w))])
-        conv = ad.dilated_conv1d(x, kernel, mode="centred", mask=mask)
+        conv = ad.dilated_conv1d(x, params[f"cnn.w{w}.kernel"], mode="centred", mask=mask)
         maps.append(ad.relu(ad.add(conv, params[f"cnn.w{w}.bias"])))
         del conv  # hold no window's raw output past its use
     # without a tape, and with no reference left in the caller, this frees the
@@ -253,23 +224,23 @@ def tcn_stack(
     x: Tensor,
     params: dict[str, Tensor],
     levels: int,
-    kernel: int,
     drop: Dropout = NO_DROPOUT,
     mask: np.ndarray | None = None,
 ) -> Tensor:
     """Stacked causal dilated conv blocks (dilation doubling) with residuals.
 
-    ``x`` is ``[steps, rows, dim]``; a block's residual goes through its
-    one-tap ``proj`` when the block changes the channel count. Every
+    ``x`` is ``[steps, rows, dim]``; block ``l``'s ``tcn.block{l}.kernel``
+    is ``[kernel, cin, channels]``, entry ``i`` reading position
+    ``t - 2**l * i``. A block's residual goes through its one-tap ``proj``
+    (``[1, cin, channels]``) when the block changes the channel count. Every
     convolution reads positions off ``mask`` (``[rows, steps]``) as zeros.
     """
     for lvl in range(levels):
-        taps = ad.stack([params[f"tcn.block{lvl}.tap{i}"] for i in range(kernel)])
-        conv = ad.dilated_conv1d(x, taps, d=2**lvl, mode="same", mask=mask)
+        conv = ad.dilated_conv1d(x, params[f"tcn.block{lvl}.kernel"], d=2**lvl, mode="same", mask=mask)
         y = drop.apply(ad.relu(ad.add(conv, params[f"tcn.block{lvl}.bias"])))
         del conv
         proj = params.get(f"tcn.block{lvl}.proj")
-        x = ad.add(y, x if proj is None else ad.dilated_conv1d(x, ad.stack([proj]), mask=mask))
+        x = ad.add(y, x if proj is None else ad.dilated_conv1d(x, proj, mask=mask))
     return x
 
 
@@ -350,7 +321,17 @@ class AttentionTrace:
 
 
 def init_params(config: HanConfig, table: EmbeddingTable, seed: int = 0) -> dict[str, Tensor]:
-    """All trainable tensors keyed by name, in a fixed construction order."""
+    """All trainable tensors keyed by name, in a fixed construction order.
+
+    Each weight has the shape its op reads: ``cnn.w{w}.kernel`` is
+    ``[w, embed, maps]`` and ``tcn.block{l}.kernel`` ``[k, cin, channels]``
+    (see the stacks), ``{level}_gru.w``, ``.b`` and ``.u`` are
+    ``[2, in, 3u]``, ``[2, 3u]`` and ``[2, u, 3u]`` (see ``ad.bigru``).
+    Random weights are drawn in C order, a CNN kernel one entry at a time
+    from its last, and a GRU's ``w`` and ``u`` one gate block at a time (per
+    direction and gate z, r, h: ``w`` then ``u``); biases start at zero.
+    Every array is C-contiguous.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4A11])))
     scale = 0.05
     params: dict[str, Tensor] = {
@@ -358,52 +339,44 @@ def init_params(config: HanConfig, table: EmbeddingTable, seed: int = 0) -> dict
         "embed.bucket": table.bucket,
     }
 
-    def mat(name, rows, cols):
-        params[name] = Tensor(rng.uniform(-scale, scale, (rows, cols)), requires_grad=True, name=name)
+    def zeros(name, *shape) -> np.ndarray:
+        params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
+        return params[name].data
 
-    def vec_zero(name, n):
-        params[name] = Tensor(np.zeros(n), requires_grad=True, name=name)
-
-    def vec_uniform(name, n):
-        params[name] = Tensor(rng.uniform(-scale, scale, n), requires_grad=True, name=name)
+    def draw(out: np.ndarray) -> None:
+        out[...] = rng.uniform(-scale, scale, out.shape)
 
     if config.variant == "cnn":
         for w in config.cnn_windows:
-            for i in range(w):
-                mat(f"cnn.w{w}.tap{i}", config.embed_dim, config.cnn_maps)
-            vec_zero(f"cnn.w{w}.bias", config.cnn_maps)
+            kernel = zeros(f"cnn.w{w}.kernel", w, config.embed_dim, config.cnn_maps)
+            for entry in kernel[::-1]:  # the last entry reads the earliest position
+                draw(entry)
+            zeros(f"cnn.w{w}.bias", config.cnn_maps)
     elif config.variant == "tcn":
         for lvl in range(config.tcn_levels):
             cin = config.embed_dim if lvl == 0 else config.tcn_channels
-            for i in range(config.tcn_kernel):
-                mat(f"tcn.block{lvl}.tap{i}", cin, config.tcn_channels)
-            vec_zero(f"tcn.block{lvl}.bias", config.tcn_channels)
+            draw(zeros(f"tcn.block{lvl}.kernel", config.tcn_kernel, cin, config.tcn_channels))
+            zeros(f"tcn.block{lvl}.bias", config.tcn_channels)
             if cin != config.tcn_channels:
-                mat(f"tcn.block{lvl}.proj", cin, config.tcn_channels)
+                draw(zeros(f"tcn.block{lvl}.proj", 1, cin, config.tcn_channels))
 
     u = config.gru_hidden
     for level, in_dim in (("word", config.feature_dim), ("sent", 2 * u)):
-        for direction in ("fw", "bw"):
-            for gate in ("z", "r", "h"):
-                mat(f"{level}_gru.{direction}.w_{gate}", in_dim, u)
-                mat(f"{level}_gru.{direction}.u_{gate}", u, u)
-                vec_zero(f"{level}_gru.{direction}.b_{gate}", u)
-        mat(f"{level}_attn.w", 2 * u, 2 * u)
-        vec_zero(f"{level}_attn.b", 2 * u)
-        vec_uniform(f"{level}_attn.u", 2 * u)
+        w_all = zeros(f"{level}_gru.w", 2, in_dim, 3 * u)
+        zeros(f"{level}_gru.b", 2, 3 * u)
+        u_all = zeros(f"{level}_gru.u", 2, u, 3 * u)
+        for d in range(2):
+            for gate in range(3):
+                block = slice(gate * u, (gate + 1) * u)
+                draw(w_all[d, :, block])
+                draw(u_all[d, :, block])
+        draw(zeros(f"{level}_attn.w", 2 * u, 2 * u))
+        zeros(f"{level}_attn.b", 2 * u)
+        draw(zeros(f"{level}_attn.u", 2 * u))
 
-    mat("head.w", 2 * u, config.n_classes)
-    vec_zero("head.b", config.n_classes)
+    draw(zeros("head.w", 2 * u, config.n_classes))
+    zeros("head.b", config.n_classes)
     return params
-
-
-def _gru_params(params: dict[str, Tensor], level: str, direction: str) -> GruParams:
-    p = lambda k: params[f"{level}_gru.{direction}.{k}"]
-    return GruParams(
-        w_z=p("w_z"), u_z=p("u_z"), b_z=p("b_z"),
-        w_r=p("w_r"), u_r=p("u_r"), b_r=p("b_r"),
-        w_h=p("w_h"), u_h=p("u_h"), b_h=p("b_h"),
-    )
 
 
 class HanModel:
@@ -462,15 +435,17 @@ class HanModel:
         if cfg.variant == "cnn":
             x = conv_feature_stack(self._embed(batch), self.params, cfg.cnn_windows, drop, mask)
         elif cfg.variant == "tcn":
-            x = tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, cfg.tcn_kernel, drop, mask)
+            x = tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, drop, mask)
         else:
             x = self._embed(batch)
 
+        # w goes positionally: a tracer tells the levels apart by its name
         word_ann = bigru_encode(
             x,
             mask,
-            _gru_params(self.params, "word", "fw"),
-            _gru_params(self.params, "word", "bw"),
+            self.params["word_gru.w"],
+            self.params["word_gru.b"],
+            self.params["word_gru.u"],
         )
         del x  # without a tape, nothing holds the word features past the BiGRU
         sent_vec, alpha_w = attention_pool(
@@ -488,8 +463,9 @@ class HanModel:
         sent_ann = bigru_encode(
             sent_seq,
             batch.sent_mask,
-            _gru_params(self.params, "sent", "fw"),
-            _gru_params(self.params, "sent", "bw"),
+            self.params["sent_gru.w"],
+            self.params["sent_gru.b"],
+            self.params["sent_gru.u"],
         )
         doc_vec, alpha_s = attention_pool(
             sent_ann,
@@ -564,7 +540,7 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
     names = list(model.params.keys())
     header = {
         "format": "hanspam-checkpoint",
-        "version": 1,
+        "version": 2,
         "config": model.config.to_dict(),
         "seed": model.seed,
         "vocab": {
@@ -596,7 +572,7 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 def load_checkpoint(path: str | Path) -> HanModel:
     """Read a checkpoint; ``CheckpointError`` if the bytes do not form one.
 
-    The header must be a version-1 hanspam checkpoint whose ``embed``
+    The header must be a version-2 hanspam checkpoint whose ``embed``
     section matches its config's ``embed_*`` fields and whose parameter list
     (names, shapes and order) is exactly what ``init_params`` builds for that
     config; this is checked before the payload is read.
@@ -622,10 +598,10 @@ def load_checkpoint(path: str | Path) -> HanModel:
         missing = [k for k in required if k not in header]
         if missing:
             raise CheckpointError(f"{path} has a header without {', '.join(missing)}")
-        if header["format"] != "hanspam-checkpoint" or header["version"] != 1:
+        if header["format"] != "hanspam-checkpoint" or header["version"] != 2:
             raise CheckpointError(
                 f"{path} is format {header['format']!r} version {header['version']!r}, "
-                "not hanspam-checkpoint version 1"
+                "not hanspam-checkpoint version 2"
             )
         try:
             listed = [(spec["name"], tuple(int(n) for n in spec["shape"])) for spec in header["params"]]

@@ -273,9 +273,15 @@ def train(
         score = val_auc if np.isfinite(val_auc) else -record.train_loss
         if score > best_auc:
             best_auc = score
-            # nothing changes the parameters after the last epoch: keep no copy
-            last = epoch == cfg.epochs - 1
-            best_snapshot = None if last else {k: t.data.copy() for k, t in model.params.items()}
+            if epoch == cfg.epochs - 1:
+                # nothing changes the parameters after the last epoch: keep no copy
+                best_snapshot = None
+            elif best_snapshot is None:
+                best_snapshot = {k: t.data.copy() for k, t in model.params.items()}
+            else:
+                # into the copy already held: never two copies at once
+                for k, t in model.params.items():
+                    np.copyto(best_snapshot[k], t.data)
             result.best_epoch = epoch
             stale = 0
         else:

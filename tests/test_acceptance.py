@@ -138,17 +138,16 @@ def test_criterion_05_dilated_convolution():
     params = {}
     for lvl in range(levels):
         cin = 3 if lvl == 0 else channels
-        for i in range(kernel):
-            params[f"tcn.block{lvl}.tap{i}"] = Tensor(rng.uniform(-1, 1, (cin, channels)))
+        params[f"tcn.block{lvl}.kernel"] = Tensor(rng.uniform(-1, 1, (kernel, cin, channels)))
         params[f"tcn.block{lvl}.bias"] = Tensor(rng.uniform(-1, 1, channels))
         if cin != channels:
-            params[f"tcn.block{lvl}.proj"] = Tensor(rng.uniform(-1, 1, (cin, channels)))
+            params[f"tcn.block{lvl}.proj"] = Tensor(rng.uniform(-1, 1, (1, cin, channels)))
     steps = [rng.uniform(-1, 1, (1, 3)) for _ in range(10)]
-    base = tcn_stack(Tensor(np.stack(steps)), params, levels, kernel).data
+    base = tcn_stack(Tensor(np.stack(steps)), params, levels).data
     for t in range(10):
         bumped = [s.copy() for s in steps]
         bumped[t] = bumped[t] + 0.5
-        out = tcn_stack(Tensor(np.stack(bumped)), params, levels, kernel).data
+        out = tcn_stack(Tensor(np.stack(bumped)), params, levels).data
         for s in range(t):
             assert np.array_equal(out[s], base[s])
 

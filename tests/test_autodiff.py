@@ -273,13 +273,13 @@ class TestBigru:
         assert check_fused_bigru() < 1e-4
 
     def test_shape_errors(self):
-        x, w, b, u = np.ones((4, 2, 3)), np.ones((3, 6)), np.ones(6), np.ones((2, 6))
+        x, w, b, u = np.ones((4, 2, 3)), np.ones((2, 3, 6)), np.ones((2, 6)), np.ones((2, 2, 6))
         with pytest.raises(ShapeError, match="x\\[steps >= 1, rows, in\\]"):
-            ad.bigru(np.ones((4, 3)), None, w, b, u, w, b, u)
+            ad.bigru(np.ones((4, 3)), None, w, b, u)
         with pytest.raises(ShapeError, match="with u = 2"):
-            ad.bigru(x, None, w, b, u, w, np.ones(4), u)
+            ad.bigru(x, None, w, np.ones((2, 4)), u)
         with pytest.raises(ShapeError, match=r"mask\[rows, steps\] = \[2, 4\]"):
-            ad.bigru(x, np.ones((4, 2), dtype=bool), w, b, u, w, b, u)
+            ad.bigru(x, np.ones((4, 2), dtype=bool), w, b, u)
 
 
 class TestStack:

@@ -403,11 +403,12 @@ class TestExitCodes:
                 ),
                 "lists head.b [2] where its config builds head.w [8, 2]",
             ),
-            (_with_header(lambda h: {**h, "version": 99}), "version 99, not hanspam-checkpoint version 1"),
+            (_with_header(lambda h: {**h, "version": 99}), "version 99, not hanspam-checkpoint version 2"),
+            (_with_header(lambda h: {**h, "version": 1}), "version 1, not hanspam-checkpoint version 2"),
             (_with_header(lambda h: {**h, "format": "other"}), "format 'other'"),
             (
                 _with_header(lambda h: {**h, "config": {**h["config"], "gru_hidden": 5}}),
-                "lists word_gru.fw.w_z [3, 4] where its config builds word_gru.fw.w_z [3, 5]",
+                "lists word_gru.w [2, 3, 12] where its config builds word_gru.w [2, 3, 15]",
             ),
             (
                 _with_header(lambda h: {**h, "embed": {**h["embed"], "n_max": 4}}),
@@ -424,7 +425,7 @@ class TestExitCodes:
         ],
         ids=[
             "cut_header", "cut_payload", "bad_magic", "trailing_junk", "no_vocab", "list_header",
-            "no_head_w", "version_99", "other_format", "config_over_other_shapes",
+            "no_head_w", "version_99", "version_1", "other_format", "config_over_other_shapes",
             "embed_disagrees_with_config", "embed_without_buckets", "trainable_not_bool",
         ],
     )

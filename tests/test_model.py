@@ -8,7 +8,6 @@ from hanspam.ingest import EmailDocument
 from hanspam.model import (
     Batch,
     ConfigError,
-    GruParams,
     HanConfig,
     HanModel,
     attention_pool,
@@ -22,22 +21,31 @@ from hanspam.training import cross_entropy
 from hanspam.vocab import PAD, char_ngrams, encode_document, fnv1a64
 
 
-def zero_gates(in_dim, hidden):
-    z = lambda *s: Tensor(np.zeros(s))
-    return GruParams(
-        w_z=z(in_dim, hidden), u_z=z(hidden, hidden), b_z=z(hidden),
-        w_r=z(in_dim, hidden), u_r=z(hidden, hidden), b_r=z(hidden),
-        w_h=z(in_dim, hidden), u_h=z(hidden, hidden), b_h=z(hidden),
-    )
+def zero_gru(in_dim, hidden):
+    """``(w, b, u)`` for ``bigru_encode``, all zeros."""
+    shapes = ((2, in_dim, 3 * hidden), (2, 3 * hidden), (2, hidden, 3 * hidden))
+    return tuple(Tensor(np.zeros(shape)) for shape in shapes)
 
 
-def random_gates(rng, in_dim, hidden, scale=0.6):
-    r = lambda *s: Tensor(rng.uniform(-scale, scale, s))
-    return GruParams(
-        w_z=r(in_dim, hidden), u_z=r(hidden, hidden), b_z=r(hidden),
-        w_r=r(in_dim, hidden), u_r=r(hidden, hidden), b_r=r(hidden),
-        w_h=r(in_dim, hidden), u_h=r(hidden, hidden), b_h=r(hidden),
-    )
+def random_direction(rng, in_dim, hidden, scale=0.6):
+    """One direction's ``(w, b, u)`` arrays, drawn one gate at a time: ``w``, ``u``, ``b`` for z, r, h."""
+    w, b, u = np.empty((in_dim, 3 * hidden)), np.empty(3 * hidden), np.empty((hidden, 3 * hidden))
+    for gate in range(3):
+        block = slice(gate * hidden, (gate + 1) * hidden)
+        w[:, block] = rng.uniform(-scale, scale, (in_dim, hidden))
+        u[:, block] = rng.uniform(-scale, scale, (hidden, hidden))
+        b[block] = rng.uniform(-scale, scale, hidden)
+    return w, b, u
+
+
+def bigru_weights(fw, bw, requires_grad=False):
+    """``(w, b, u)`` tensors for ``bigru_encode`` from two directions' arrays, forward first."""
+    return tuple(Tensor(np.stack(pair), requires_grad=requires_grad) for pair in zip(fw, bw))
+
+
+def random_gru(rng, in_dim, hidden, requires_grad=False):
+    fw, bw = random_direction(rng, in_dim, hidden), random_direction(rng, in_dim, hidden)
+    return bigru_weights(fw, bw, requires_grad)
 
 
 def unstack(x):
@@ -45,11 +53,21 @@ def unstack(x):
     return [ad.take_rows(x, t) for t in range(x.shape[0])]
 
 
-def reference_gru_cell(x, h_prev, gates):
-    """One GRU step on ``[rows, in]``, as the per-step model computed it (biases added last)."""
-    z = ad.sigmoid(x @ gates.w_z + h_prev @ gates.u_z + gates.b_z)
-    r = ad.sigmoid(x @ gates.w_r + h_prev @ gates.u_r + gates.b_r)
-    h_cand = ad.tanh(x @ gates.w_h + ad.mul(r, h_prev) @ gates.u_h + gates.b_h)
+def gate_blocks(t, d):
+    """Direction ``d``'s z, r and h blocks of a ``[2, ..., 3*hidden]`` GRU tensor, as differentiable slices."""
+    hidden = t.shape[-1] // 3
+    cols = ad.transpose(ad.take_rows(t, d), tuple(reversed(range(t.ndim - 1))))  # [3*hidden, ...]
+    blocks = (ad.take_rows(cols, np.arange(g * hidden, (g + 1) * hidden)) for g in range(3))
+    return [ad.transpose(blk, tuple(reversed(range(t.ndim - 1)))) for blk in blocks]
+
+
+def reference_gru_cell(x, h_prev, w, b, u, d):
+    """One GRU step of direction ``d`` on ``[rows, in]``, gate by gate as the
+    per-step model computed it (biases added last)."""
+    (w_z, w_r, w_h), (b_z, b_r, b_h), (u_z, u_r, u_h) = (gate_blocks(t, d) for t in (w, b, u))
+    z = ad.sigmoid(x @ w_z + h_prev @ u_z + b_z)
+    r = ad.sigmoid(x @ w_r + h_prev @ u_r + b_r)
+    h_cand = ad.tanh(x @ w_h + ad.mul(r, h_prev) @ u_h + b_h)
     return ad.add(ad.mul(1.0 - z, h_prev), ad.mul(z, h_cand))
 
 
@@ -61,60 +79,53 @@ class TestGruCell:
         # candidate is tanh c, so each step halves the state and adds
         # 0.5 tanh c: 0 -> 0.5 tanh c -> 0.75 tanh c
         c = np.array([0.4, -1.2, 2.0])
-        gates = zero_gates(2, 3)
-        gates.b_h = Tensor(c)
+        w, b, u = zero_gru(2, 3)
+        b.data[:, 6:] = c
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 4, 2)))
-        ann = bigru_encode(x, None, gates, gates).data
+        ann = bigru_encode(x, None, w, b, u).data
         fwd, bwd = ann[..., :3], ann[..., 3:]
         for first, second in ((fwd[0], fwd[1]), (bwd[1], bwd[0])):
             assert np.allclose(first, 0.5 * np.tanh(c), atol=1e-15)
             assert np.allclose(second, 0.75 * np.tanh(c), atol=1e-15)
 
     def test_zero_state_zero_params(self):
-        gates = zero_gates(4, 3)
-        out = bigru_encode(Tensor(np.ones((3, 2, 4))), None, gates, gates)
+        out = bigru_encode(Tensor(np.ones((3, 2, 4))), None, *zero_gru(4, 3))
         assert np.array_equal(out.data, np.zeros((3, 2, 6)))
 
     def test_shape_mismatch(self):
-        gates = zero_gates(2, 3)
+        gates = zero_gru(2, 3)
         for x in (np.ones((1, 1, 5)), np.ones((1, 2)), np.ones((0, 1, 2))):
             with pytest.raises(ad.ShapeError):
-                bigru_encode(Tensor(x), None, gates, gates)
+                bigru_encode(Tensor(x), None, *gates)
         with pytest.raises(ad.ShapeError):
-            bigru_encode(Tensor(np.ones((1, 1, 2))), None, gates, zero_gates(5, 3))
+            bigru_encode(Tensor(np.ones((1, 1, 2))), None, zero_gru(5, 3)[0], *gates[1:])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True)
-        fw, bw = random_gates(rng, 3, 4), random_gates(rng, 3, 4)
-        gates = list(vars(fw).values()) + list(vars(bw).values())
-        for t in gates:
-            t.requires_grad = True
-            t.zero_grad()
+        gates = list(random_gru(rng, 3, 4, requires_grad=True))
         mask = np.array([[True, True, False], [True, True, True]])
-        err = check_scalar_fn(lambda: ad.tsum(bigru_encode(x, mask, fw, bw)), [x] + gates)
+        err = check_scalar_fn(lambda: ad.tsum(bigru_encode(x, mask, *gates)), [x] + gates)
         assert err < 1e-4
 
 
 class TestBigru:
     def test_single_step(self):
         rng = np.random.default_rng(1)
-        fw, bw = random_gates(rng, 3, 2), random_gates(rng, 3, 2)
+        gates = random_gru(rng, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (1, 1, 3)))
-        ann = bigru_encode(x, None, fw, bw)
+        ann = bigru_encode(x, None, *gates)
         assert ann.shape == (1, 1, 4)
         zero, step = Tensor(np.zeros((1, 2))), Tensor(x.data[0])
-        expected = np.concatenate(
-            [reference_gru_cell(step, zero, fw).data, reference_gru_cell(step, zero, bw).data], axis=1
-        )
+        expected = np.concatenate([reference_gru_cell(step, zero, *gates, d).data for d in (0, 1)], axis=1)
         assert np.allclose(ann.data[0], expected)
 
     def test_palindrome_with_shared_params_reverses_with_swapped_halves(self):
         rng = np.random.default_rng(2)
-        shared = random_gates(rng, 3, 4)
+        shared = random_direction(rng, 3, 4)
         steps = [rng.uniform(-1, 1, (1, 3)) for _ in range(3)]
         x = Tensor(np.stack(steps + steps[-2::-1]))  # palindrome, length 5
-        ann = bigru_encode(x, None, shared, shared).data
+        ann = bigru_encode(x, None, *bigru_weights(shared, shared)).data
         t_total = x.shape[0]
         for t in range(t_total):
             mirrored = ann[t_total - 1 - t]
@@ -123,10 +134,10 @@ class TestBigru:
 
     def test_masked_positions_hold_state(self):
         rng = np.random.default_rng(3)
-        fw, bw = random_gates(rng, 2, 3), random_gates(rng, 2, 3)
+        gates = random_gru(rng, 2, 3)
         x = Tensor(rng.uniform(-1, 1, (4, 1, 2)))
         mask = np.array([[True, True, False, False]])
-        ann = bigru_encode(x, mask, fw, bw).data
+        ann = bigru_encode(x, mask, *gates).data
         # forward half at the masked tail is the last unmasked state, bitwise
         assert np.array_equal(ann[2][:, :3], ann[1][:, :3])
         assert np.array_equal(ann[3][:, :3], ann[1][:, :3])
@@ -138,24 +149,19 @@ class TestBigru:
         # x is [4 steps, 2 rows]; the mask must be [rows, steps] = [2, 4], not
         # merely broadcastable to it
         rng = np.random.default_rng(10)
-        fw = random_gates(rng, 3, 2)
+        fw = random_direction(rng, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (4, 2, 3)))
         w, b, u = Tensor(np.eye(3)), Tensor(np.zeros(3)), Tensor(np.ones(3))
-        with pytest.raises(ad.ShapeError, match=r"bigru_encode expects a mask\[rows, steps\] = \[2, 4\]"):
-            bigru_encode(x, np.ones(shape, dtype=bool), fw, fw)
+        with pytest.raises(ad.ShapeError, match=r"bigru expects a mask\[rows, steps\] = \[2, 4\]"):
+            bigru_encode(x, np.ones(shape, dtype=bool), *bigru_weights(fw, fw))
         with pytest.raises(ad.ShapeError, match=r"attention_pool expects a mask\[rows, steps\] = \[2, 4\]"):
             attention_pool(x, np.ones(shape, dtype=bool), w, b, u)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(4)
-        fw = random_gates(rng, 2, 3)
+        fw = random_direction(rng, 2, 3)
         with pytest.raises(ad.ShapeError):
-            bigru_encode(Tensor(np.zeros((0, 1, 2))), None, fw, fw)
-
-    def test_gradcheck_through_bigru(self):
-        from hanspam.gradcheck import check_bigru
-
-        assert check_bigru() < 1e-4
+            bigru_encode(Tensor(np.zeros((0, 1, 2))), None, *bigru_weights(fw, fw))
 
 
 class TestAttentionPool:
@@ -229,7 +235,7 @@ class TestConvStacks:
         # window 1 with a filter that picks channel 0 reproduces channel 0
         seq = [Tensor(np.abs(np.random.default_rng(9).uniform(0.1, 1, (2, 3)))) for _ in range(4)]
         params = {
-            "cnn.w1.tap0": Tensor(np.array([[1.0], [0.0], [0.0]])),
+            "cnn.w1.kernel": Tensor(np.array([[[1.0], [0.0], [0.0]]])),
             "cnn.w1.bias": Tensor(np.zeros(1)),
         }
         feats = unstack(conv_feature_stack(ad.stack(seq), params, (1,)))
@@ -239,8 +245,7 @@ class TestConvStacks:
     def test_zero_filters_zero_features(self):
         seq = [Tensor(np.random.default_rng(10).uniform(-1, 1, (2, 3))) for _ in range(3)]
         params = {
-            "cnn.w2.tap0": Tensor(np.zeros((3, 2))),
-            "cnn.w2.tap1": Tensor(np.zeros((3, 2))),
+            "cnn.w2.kernel": Tensor(np.zeros((2, 3, 2))),
             "cnn.w2.bias": Tensor(np.zeros(2)),
         }
         feats = unstack(conv_feature_stack(ad.stack(seq), params, (2,)))
@@ -251,8 +256,8 @@ class TestConvStacks:
         seq = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
         params = {}
         for w in (1, 2):
-            for i in range(w):
-                params[f"cnn.w{w}.tap{i}"] = Tensor(rng.uniform(-1, 1, (2, 3)))
+            taps = [rng.uniform(-1, 1, (2, 3)) for _ in range(w)]
+            params[f"cnn.w{w}.kernel"] = Tensor(np.stack(taps[::-1]))
             params[f"cnn.w{w}.bias"] = Tensor(np.zeros(3))
         feats = unstack(conv_feature_stack(ad.stack(seq), params, (1, 2)))
         assert feats[0].shape == (1, 6)
@@ -261,10 +266,10 @@ class TestConvStacks:
         rng = np.random.default_rng(12)
         seq = [Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(4)]
         params = {
-            "tcn.block0.tap0": Tensor(np.eye(3)),
+            "tcn.block0.kernel": Tensor(np.eye(3)[None]),
             "tcn.block0.bias": Tensor(np.zeros(3)),
         }
-        out = unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=1))
+        out = unstack(tcn_stack(ad.stack(seq), params, levels=1))
         for t in range(4):
             expected = np.maximum(seq[t].data, 0.0) + seq[t].data
             assert np.allclose(out[t].data, expected)
@@ -273,11 +278,10 @@ class TestConvStacks:
         rng = np.random.default_rng(13)
         seq = [Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(4)]
         params = {
-            "tcn.block0.tap0": Tensor(np.zeros((3, 3))),
-            "tcn.block0.tap1": Tensor(np.zeros((3, 3))),
+            "tcn.block0.kernel": Tensor(np.zeros((2, 3, 3))),
             "tcn.block0.bias": Tensor(np.zeros(3)),
         }
-        out = unstack(tcn_stack(ad.stack(seq), params, levels=1, kernel=2))
+        out = unstack(tcn_stack(ad.stack(seq), params, levels=1))
         for t in range(4):
             assert np.allclose(out[t].data, seq[t].data)
 
@@ -287,48 +291,51 @@ class TestConvStacks:
         params = {}
         for lvl in range(levels):
             cin = 3 if lvl == 0 else channels
-            for i in range(kernel):
-                params[f"tcn.block{lvl}.tap{i}"] = Tensor(rng.uniform(-1, 1, (cin, channels)))
+            params[f"tcn.block{lvl}.kernel"] = Tensor(rng.uniform(-1, 1, (kernel, cin, channels)))
             params[f"tcn.block{lvl}.bias"] = Tensor(rng.uniform(-1, 1, channels))
         base_steps = [rng.uniform(-1, 1, (1, 3)) for _ in range(7)]
         base_out = [
-            o.data.copy() for o in unstack(tcn_stack(Tensor(np.stack(base_steps)), params, levels, kernel))
+            o.data.copy() for o in unstack(tcn_stack(Tensor(np.stack(base_steps)), params, levels))
         ]
         for t in range(7):
             bumped = [s.copy() for s in base_steps]
             bumped[t] = bumped[t] + 0.37
-            out = unstack(tcn_stack(Tensor(np.stack(bumped)), params, levels, kernel))
+            out = unstack(tcn_stack(Tensor(np.stack(bumped)), params, levels))
             for s in range(7):
                 if s < t:
                     assert np.array_equal(out[s].data, base_out[s])
 
 
 def per_step_cnn(seq, params, windows):
-    """Reference CNN stack: one matmul per tap, step and window."""
+    """Reference CNN stack: one matmul per tap, step and window; tap ``i``
+    reads position ``t - (w-1)//2 + i`` and is kernel entry ``w-1-i``."""
     per_window = []
     for w in windows:
         left = (w - 1) // 2
+        taps = unstack(params[f"cnn.w{w}.kernel"])[::-1]
         outs = []
         for t in range(len(seq)):
             acc = params[f"cnn.w{w}.bias"]
             for i in range(w):
                 if 0 <= t - left + i < len(seq):
-                    acc = ad.add(acc, seq[t - left + i] @ params[f"cnn.w{w}.tap{i}"])
+                    acc = ad.add(acc, seq[t - left + i] @ taps[i])
             outs.append(ad.relu(acc))
         per_window.append(outs)
     return [ad.concat([outs[t] for outs in per_window], axis=1) for t in range(len(seq))]
 
 
-def per_step_tcn(seq, params, levels, kernel):
+def per_step_tcn(seq, params, levels):
     """Reference TCN stack: causal taps per step, dilation 2**level, residual."""
     for lvl in range(levels):
+        taps = unstack(params[f"tcn.block{lvl}.kernel"])
         proj = params.get(f"tcn.block{lvl}.proj")
+        proj = None if proj is None else ad.take_rows(proj, 0)
         nxt = []
         for t in range(len(seq)):
             acc = params[f"tcn.block{lvl}.bias"]
-            for i in range(kernel):
+            for i in range(len(taps)):
                 if t - 2**lvl * i >= 0:
-                    acc = ad.add(acc, seq[t - 2**lvl * i] @ params[f"tcn.block{lvl}.tap{i}"])
+                    acc = ad.add(acc, seq[t - 2**lvl * i] @ taps[i])
             nxt.append(ad.add(ad.relu(acc), seq[t] if proj is None else seq[t] @ proj))
         seq = nxt
     return seq
@@ -372,8 +379,8 @@ class TestConvStacksMatchPerStepReference:
         x = Tensor(rng.uniform(-1, 1, (steps, rows, dim)), requires_grad=True)
         params = {}
         for w in windows:
-            for i in range(w):
-                params[f"cnn.w{w}.tap{i}"] = Tensor(rng.uniform(-1, 1, (dim, maps)), requires_grad=True)
+            taps = [rng.uniform(-1, 1, (dim, maps)) for _ in range(w)]
+            params[f"cnn.w{w}.kernel"] = Tensor(np.stack(taps[::-1]), requires_grad=True)
             params[f"cnn.w{w}.bias"] = Tensor(rng.uniform(-0.5, 0.5, maps), requires_grad=True)
         assert_matches_reference(
             lambda: conv_feature_stack(x, params, windows),
@@ -391,14 +398,13 @@ class TestConvStacksMatchPerStepReference:
         params = {}
         for lvl in range(levels):
             cin = dim if lvl == 0 else channels
-            for i in range(kernel):
-                params[f"tcn.block{lvl}.tap{i}"] = leaf(cin, channels)
+            params[f"tcn.block{lvl}.kernel"] = leaf(kernel, cin, channels)
             params[f"tcn.block{lvl}.bias"] = leaf(channels)
             if cin != channels:
-                params[f"tcn.block{lvl}.proj"] = leaf(cin, channels)
+                params[f"tcn.block{lvl}.proj"] = leaf(1, cin, channels)
         assert_matches_reference(
-            lambda: tcn_stack(x, params, levels, kernel),
-            lambda: ad.stack(per_step_tcn(unstack(x), params, levels, kernel)),
+            lambda: tcn_stack(x, params, levels),
+            lambda: ad.stack(per_step_tcn(unstack(x), params, levels)),
             [x] + list(params.values()),
         )
 
@@ -406,7 +412,8 @@ class TestConvStacksMatchPerStepReference:
         # every case above draws windows up to 6 over 1-5 steps; pin one explicitly
         rng = np.random.default_rng(7)
         x = Tensor(rng.uniform(-1, 1, (2, 2, 3)), requires_grad=True)
-        params = {f"cnn.w5.tap{i}": Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for i in range(5)}
+        taps = [rng.uniform(-1, 1, (3, 2)) for _ in range(5)]
+        params = {"cnn.w5.kernel": Tensor(np.stack(taps[::-1]), requires_grad=True)}
         params["cnn.w5.bias"] = Tensor(np.zeros(2), requires_grad=True)
         assert_matches_reference(
             lambda: conv_feature_stack(x, params, (5,)),
@@ -415,21 +422,21 @@ class TestConvStacksMatchPerStepReference:
         )
 
 
-def per_step_bigru(seq, mask, fw, bw):
+def per_step_bigru(seq, mask, w, b, u):
     """Reference BiGRU over a list of ``[rows, in]`` steps: one cell per step and direction."""
-    rows, hidden = seq[0].shape[0], fw.u_z.shape[0]
+    rows, hidden = seq[0].shape[0], u.shape[1]
 
-    def run(gates, order):
+    def run(d, order):
         h, states = Tensor(np.zeros((rows, hidden))), [None] * len(seq)
         for t in order:
-            new = reference_gru_cell(seq[t], h, gates)
+            new = reference_gru_cell(seq[t], h, w, b, u, d)
             if mask is not None:
                 keep = mask[:, t : t + 1].astype(np.float64)
                 new = ad.add(ad.mul(new, keep), ad.mul(h, 1.0 - keep))
             h = states[t] = new
         return states
 
-    fwd, bwd = run(fw, range(len(seq))), run(bw, reversed(range(len(seq))))
+    fwd, bwd = run(0, range(len(seq))), run(1, reversed(range(len(seq))))
     return [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
 
 
@@ -467,17 +474,14 @@ class TestSequenceOpsMatchPerStepReference:
         rng = np.random.default_rng(300 + 10 * steps + seed)
         rows, in_dim, hidden = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
         x = Tensor(rng.uniform(-1, 1, (steps, rows, in_dim)), requires_grad=True)
-        fw, bw = random_gates(rng, in_dim, hidden), random_gates(rng, in_dim, hidden)
-        gates = list(vars(fw).values()) + list(vars(bw).values())
-        for t in gates:
-            t.requires_grad = True
+        gates = list(random_gru(rng, in_dim, hidden, requires_grad=True))
         padded = _random_mask(rng, rows, steps)
         if rows > 1:
             padded[0] = False  # a row of padding only keeps the zero state
         for mask in (None, padded):
             assert_matches_reference(
-                lambda: bigru_encode(x, mask, fw, bw),
-                lambda: ad.stack(per_step_bigru(unstack(x), mask, fw, bw)),
+                lambda: bigru_encode(x, mask, *gates),
+                lambda: ad.stack(per_step_bigru(unstack(x), mask, *gates)),
                 [x] + gates,
             )
 
@@ -487,14 +491,11 @@ class TestSequenceOpsMatchPerStepReference:
         rng = np.random.default_rng(350)
         steps, rows, in_dim, hidden = 12, 40, 6, 8
         x = Tensor(rng.uniform(-1, 1, (steps, rows, in_dim)), requires_grad=True)
-        fw, bw = random_gates(rng, in_dim, hidden), random_gates(rng, in_dim, hidden)
-        gates = list(vars(fw).values()) + list(vars(bw).values())
-        for t in gates:
-            t.requires_grad = True
+        gates = list(random_gru(rng, in_dim, hidden, requires_grad=True))
         mask = _random_mask(rng, rows, steps)
         assert_matches_reference(
-            lambda: bigru_encode(x, mask, fw, bw),
-            lambda: ad.stack(per_step_bigru(unstack(x), mask, fw, bw)),
+            lambda: bigru_encode(x, mask, *gates),
+            lambda: ad.stack(per_step_bigru(unstack(x), mask, *gates)),
             [x] + gates,
         )
 
@@ -504,21 +505,18 @@ class TestSequenceOpsMatchPerStepReference:
         rng = np.random.default_rng(351)
         steps, rows, in_dim, hidden = 12, 45, 6, 8
         x = Tensor(rng.uniform(-1, 1, (steps, rows, in_dim)), requires_grad=True)
-        fw, bw = random_gates(rng, in_dim, hidden), random_gates(rng, in_dim, hidden)
-        gates = list(vars(fw).values()) + list(vars(bw).values())
-        for t in gates:
-            t.requires_grad = True
+        gates = list(random_gru(rng, in_dim, hidden, requires_grad=True))
         mask = _sorted_mask(rng, rows, steps)
         assert_matches_reference(
-            lambda: bigru_encode(x, mask, fw, bw),
-            lambda: ad.stack(per_step_bigru(unstack(x), mask, fw, bw)),
+            lambda: bigru_encode(x, mask, *gates),
+            lambda: ad.stack(per_step_bigru(unstack(x), mask, *gates)),
             [x] + gates,
         )
         # padding past a step's last live row is never read
-        clean = bigru_encode(x, mask, fw, bw).data
+        clean = bigru_encode(x, mask, *gates).data
         dirty = x.data.copy()
         dirty[~mask.T] = np.nan
-        assert bigru_encode(Tensor(dirty), mask, fw, bw).data.tobytes() == clean.tobytes()
+        assert bigru_encode(Tensor(dirty), mask, *gates).data.tobytes() == clean.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
     @pytest.mark.parametrize("seed", range(3))
@@ -579,9 +577,9 @@ class TestForward:
 
         rows = []
 
-        def recording(x, mask, forward, backward):
+        def recording(x, mask, w, b, u):
             rows.append(x.shape[1])
-            return bigru_encode(x, mask, forward, backward)
+            return bigru_encode(x, mask, w, b, u)
 
         monkeypatch.setattr(hm, "bigru_encode", recording)
         model = small_model("cnn")
@@ -682,14 +680,12 @@ class TestTapeEntriesDoNotGrowWithLength:
 
     def test_bigru_encode(self):
         rng = np.random.default_rng(14)
-        fw, bw = random_gates(rng, 4, 2), random_gates(rng, 4, 2)
-        for t in list(vars(fw).values()) + list(vars(bw).values()):
-            t.requires_grad = True
+        gates = random_gru(rng, 4, 2, requires_grad=True)
         counts = set()
         for steps in (1, 3, 8):
             x = Tensor(rng.uniform(-1, 1, (steps, 3, 4)), requires_grad=True)
             with ad.Tape() as tape:
-                bigru_encode(x, np.ones((3, steps), dtype=bool), fw, bw)
+                bigru_encode(x, np.ones((3, steps), dtype=bool), *gates)
             counts.add(len(tape))
         assert len(counts) == 1, counts
 
@@ -710,11 +706,11 @@ class TestTapeEntriesDoNotGrowWithLength:
         # additive bias per call, whatever the length
         rng = np.random.default_rng(16)
         x = Tensor(rng.uniform(-1, 1, (steps, 3, 4)), requires_grad=True)
-        fw, bw = random_gates(rng, 4, 2), random_gates(rng, 4, 2)
+        gates = random_gru(rng, 4, 2)
         w, b, u = Tensor(np.eye(4)), Tensor(np.zeros(4)), Tensor(np.ones(4))
         mask = np.ones((3, steps), dtype=bool)
         mask[1, 1:] = False
-        ops = {"gru": lambda m: bigru_encode(x, m, fw, bw), "attn": lambda m: attention_pool(x, m, w, b, u)}
+        ops = {"gru": lambda m: bigru_encode(x, m, *gates), "attn": lambda m: attention_pool(x, m, w, b, u)}
 
         def entries(op, m):
             with ad.Tape() as tape:
@@ -756,6 +752,34 @@ class TestTapeEntriesDoNotGrowWithLength:
             assert [m[0] for m in (word_in, sent_gru_in, sent_in)] == ["attn", "gru", "attn"]
             counts.add((word_out[2] - word_in[2], sent_gru_in[2] - word_out[2], sent_out[2] - sent_in[2]))
         assert len(counts) == 1, counts
+
+
+class TestParameterLayout:
+    """Every weight is stored in the shape its op reads."""
+
+    @pytest.mark.parametrize("variant, entries, leaves", [("cnn", 51, 22), ("tcn", 56, 23), ("none", 40, 16)])
+    def test_training_forward_joins_no_parameters(self, variant, entries, leaves):
+        # the default windows, TCN levels and kernel, and dropout, at small widths
+        config = HanConfig(variant=variant, embed_dim=8, gru_hidden=3, cnn_maps=2, tcn_channels=4, embed_buckets=50)
+        model = HanModel(config, tiny_model("none").vocab, seed=0)
+        docs = [
+            EmailDocument(label=1, sentences=[["alpha", "beta", "unseen"], ["gamma"]]),
+            EmailDocument(label=0, sentences=[["delta", "alpha"], ["beta", "gamma", "delta", "alpha"]]),
+        ]
+        batch = collate([encode_document(d, model.vocab, model.table) for d in docs])
+        with ad.Tape() as tape:
+            probs, _, _ = model.forward_batch(batch, training=True, step=1)
+            cross_entropy(probs, batch.labels)
+        params = {id(t) for t in model.params.values()}
+        joins = [
+            e.rule.__qualname__.split(".")[0] for e in tape.entries if all(id(t) in params for t in e.inputs)
+        ]
+        assert joins == ["embedding_lookup"]
+        assert len(tape) == entries
+        outputs = {id(e.output) for e in tape.entries}
+        reached = {id(t) for e in tape.entries for t in e.inputs if t.requires_grad and id(t) not in outputs}
+        assert reached == {id(t) for _, t in model.trainable()}
+        assert len(reached) == leaves
 
 
 class TestBackward:

@@ -505,6 +505,28 @@ class TestTrain:
         best, last = params_after(2, (0.5, 0.9))
         assert best == 1 and last != first_epoch
 
+    def test_improving_epochs_hold_one_snapshot(self, monkeypatch):
+        import tracemalloc
+
+        from hanspam.model import HanConfig, HanModel
+
+        # a bucket table that dwarfs everything else a step allocates
+        docs = make_corpus(n_docs=16, seed=11)
+        config = HanConfig(embed_dim=8, gru_hidden=3, variant="none", s_max=6, t_max=10, embed_buckets=100_000)
+        model = HanModel(config, build_vocab(docs, min_count=1), seed=11)
+        encoded = [encode_document(d, model.vocab, model.table) for d in docs]
+        table = model.params["embed.bucket"].data.nbytes
+        fake = iter((0.5, 0.6, 0.7))
+        monkeypatch.setattr(training, "roc_auc", lambda scores, labels: next(fake))
+        tracemalloc.start()
+        try:
+            result = train(model, encoded[:12], encoded[12:], TrainConfig(batch_size=6, epochs=3, seed=11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch == 2
+        assert peak < 1.5 * table, (peak, table)
+
     def test_table_gradients_hold_only_the_last_batch_rows(self):
         from hanspam.model import HanConfig, HanModel
 
