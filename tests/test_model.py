@@ -163,6 +163,17 @@ class TestBigru:
         with pytest.raises(ad.ShapeError):
             bigru_encode(Tensor(np.zeros((0, 1, 2))), None, *bigru_weights(fw, fw))
 
+    def test_gradcheck_through_bigru(self):
+        # row 0 has a padded tail, row 1 a hole inside it; the loss weights
+        # each output element differently so no gradient cancels by symmetry
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(-1, 1, (4, 2, 3)), requires_grad=True)
+        gates = list(random_gru(rng, 3, 4, requires_grad=True))
+        mask = np.array([[True, True, True, False], [True, False, True, True]])
+        weights = Tensor(rng.uniform(-1, 1, (4, 2, 8)))
+        err = check_scalar_fn(lambda: ad.tsum(ad.mul(bigru_encode(x, mask, *gates), weights)), [x] + gates)
+        assert err < 1e-4
+
 
 class TestAttentionPool:
     def _wbu(self, rng, dim):
