@@ -401,6 +401,9 @@ class HanModel:
         return [(k, t) for k, t in self.params.items() if t.requires_grad]
 
     def encode(self, docs) -> list[EncodedDocument]:
+        docs = list(docs)
+        # the n-grams of every token not seen before are hashed in one pass
+        self.table.cache_tokens(t for d in docs for s in d.sentences for t in s)
         return [encode_document(d, self.vocab, self.table) for d in docs]
 
     # --- forward -------------------------------------------------------------

@@ -47,6 +47,59 @@ def char_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
     return grams
 
 
+def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) -> list[tuple[int, ...]]:
+    """Per token ``t``, ``fnv1a64(g.encode("utf-8")) % buckets`` for each ``g``
+    of ``char_ngrams(t, n_min, n_max)``, in that order.
+
+    The n-grams of all tokens are hashed together: step ``k`` folds byte
+    ``k`` into every gram longer than ``k`` bytes, longest first, so the
+    grams a step folds are a prefix. A whole marked token, which is longer
+    or shorter than every n, is hashed on its own.
+    """
+    marked = [f"<{t}>" for t in tokens]
+    size = np.array([len(m) for m in marked], dtype=np.intp)
+    text = "".join(marked)
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    if data.size == len(text):
+        byte_at = np.arange(data.size + 1)
+    else:  # where each character's UTF-8 bytes begin
+        points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        width = 1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000)
+        byte_at = np.r_[0, np.cumsum(width)]
+    base = np.cumsum(size) - size  # first character of each marked token
+
+    # n-grams grouped by n, each group in token order and then start order
+    owner, lo, hi = [], [], []
+    for n in range(n_min, n_max + 1):
+        count = np.maximum(size - n + 1, 0)
+        tok = np.repeat(np.arange(len(marked)), count)
+        start = base[tok] + np.arange(tok.size) - np.repeat(np.cumsum(count) - count, count)
+        owner.append(tok)
+        lo.append(byte_at[start])
+        hi.append(byte_at[start + n])
+    owner, lo, hi = np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
+    length = hi - lo
+    by_length = np.argsort(-length, kind="stable")
+    folding = np.searchsorted(-length[by_length], -np.arange(length.max(initial=0)), side="left")
+    first = lo[by_length]
+    h = np.full(by_length.size, _FNV_OFFSET, dtype=np.uint64)
+    for k, m in enumerate(folding):
+        h[:m] ^= data[first[:m] + k]
+        h[:m] *= np.uint64(_FNV_PRIME)  # wraps modulo 2**64 as the definition's mask does
+    hashes = np.empty_like(h)
+    hashes[by_length] = h
+    ids = (hashes % np.uint64(buckets))[np.argsort(owner, kind="stable")].tolist()
+
+    out, at = [], 0
+    for m, count in zip(marked, np.bincount(owner, minlength=len(marked)).tolist()):
+        grams = ids[at : at + count]
+        at += count
+        if not n_min <= len(m) <= n_max:
+            grams.append(fnv1a64(m.encode("utf-8")) % buckets)
+        out.append(tuple(grams))
+    return out
+
+
 class VocabError(ValueError):
     pass
 
@@ -138,12 +191,15 @@ class EmbeddingTable:
             return ()
         ids = self._gram_cache.get(token)
         if ids is None:
-            ids = tuple(
-                fnv1a64(g.encode("utf-8")) % self.buckets
-                for g in char_ngrams(token, self.n_min, self.n_max)
-            )
-            self._gram_cache[token] = ids
+            self.cache_tokens([token])
+            ids = self._gram_cache[token]
         return ids
+
+    def cache_tokens(self, tokens: Iterable[str]) -> None:
+        """Hash the n-grams of every token not cached yet, all in one pass."""
+        new = list(dict.fromkeys(t for t in tokens if t and t not in self._gram_cache))
+        if new:
+            self._gram_cache.update(zip(new, gram_buckets(new, self.n_min, self.n_max, self.buckets)))
 
 
 def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport:

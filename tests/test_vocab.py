@@ -16,6 +16,7 @@ from hanspam.vocab import (
     char_ngrams,
     encode_document,
     fnv1a64,
+    gram_buckets,
     load_pretrained,
 )
 
@@ -75,6 +76,26 @@ class TestNgrams:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @pytest.mark.parametrize("n_min, n_max, buckets", [(3, 6, 100_000), (1, 1, 7), (3, 3, 13), (5, 9, 2**40)])
+    def test_gram_buckets_hash_each_gram(self, n_min, n_max, buckets):
+        # all tokens hashed in one pass give, per token, what hashing each of
+        # its grams alone gives: lengths below, inside and above [n_min, n_max],
+        # and characters of one to four UTF-8 bytes
+        rng = random.Random(3)
+        letters = "abcxyz019./:<>é€😀"
+        tokens = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 30))) for _ in range(300)]
+        tokens += ["a", "ab", "abcd", "é", "😀😀", "x" * 200, "ab"]
+        want = [tuple(fnv1a64(g.encode("utf-8")) % buckets for g in char_ngrams(t, n_min, n_max)) for t in tokens]
+        assert gram_buckets(tokens, n_min, n_max, buckets) == want
+        assert [gram_buckets([t], n_min, n_max, buckets)[0] for t in tokens[-7:]] == want[-7:]
+
+    def test_table_caches_what_it_hashes(self):
+        table = EmbeddingTable(build_vocab([doc("ab")], min_count=1), dim=4, n_min=3, n_max=4, buckets=11, seed=0)
+        table.cache_tokens(["héllo", "ab", "", "ab"])
+        assert set(table._gram_cache) == {"héllo", "ab"}
+        assert table.bucket_ids("héllo") == tuple(fnv1a64(g.encode()) % 11 for g in char_ngrams("héllo", 3, 4))
+        assert table.bucket_ids("") == ()
 
 
 @pytest.fixture
