@@ -284,10 +284,7 @@ def _sum_parts(parts: list, into: Array | None = None) -> Array:
     if into is None:
         into = np.zeros(rows[0].shape, dtype=np.float64)
     for r in rows:
-        if r.idx.size <= into.shape[0] and np.unique(r.idx).size == r.idx.size:
-            into[r.idx] += r.val  # no repeated slice: the same sums as add.at, several times faster
-        else:
-            np.add.at(into, r.idx, r.val)
+        np.add.at(into, r.idx, r.val)
     if total is not None:
         into += total
     return into
@@ -449,7 +446,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join same-shaped tensors along a new axis (numpy ``stack``)."""
+    """Join same-shaped tensors along a new axis (numpy ``stack``).
+    The model does not use it; the tests' per-step references and ``hanspam gradcheck`` do."""
     parts = tuple(_wrap(t) for t in tensors)
     if not parts:
         raise ParameterError("stack needs at least one tensor")
@@ -544,12 +542,6 @@ def softmax(scores) -> Tensor:
     return _record((x,), y, rule)
 
 
-# float64 elements per temporary in dilated_conv1d's matmuls (16 MB): the
-# allocator recycles blocks this small, while larger ones are mapped and
-# zeroed afresh on every call
-_TEMP_ELEMS = 2**21
-
-
 def _live_rows(mask, rows: int, steps: int, op: str) -> tuple[Array, bool]:
     """Per step of a ``[rows, steps]`` mask: one more than its last live row
     (0 if it has none), and whether every step's live rows are exactly that
@@ -561,14 +553,6 @@ def _live_rows(mask, rows: int, steps: int, op: str) -> tuple[Array, bool]:
     m = np.asarray(mask, dtype=bool)
     live = np.where(m.any(axis=0), rows - np.argmax(m[::-1], axis=0), 0)
     return live, bool(np.array_equal(m.sum(axis=0), live))
-
-
-def _tap_gradient(xs: Array, gs: Array) -> Array:
-    """``sum_j xs[j].T @ gs[j]`` over positions ``j`` of ``xs[m, c, cin]`` and ``gs[m, c, cout]``:
-    one 2-D GEMM when both are one block in memory (one position, or every row)."""
-    if xs.flags.c_contiguous and gs.flags.c_contiguous:
-        return xs.reshape(-1, xs.shape[2]).T @ gs.reshape(-1, gs.shape[2])
-    return np.matmul(xs.transpose(0, 2, 1), gs).sum(axis=0)
 
 
 def dilated_conv1d(x, f, d: int = 1, mode: str = "valid", mask=None) -> Tensor:
@@ -587,10 +571,11 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid", mask=None) -> Tensor:
     ``mask`` (``[rows, n]``; None means every position is real) makes a
     position off the mask read as zero, output zero and get no gradient. In
     ``valid`` mode output ``s`` is masked as input ``s + (k-1)*d``, the one
-    its tap 0 reads. Each output step is computed on rows up to its last
-    live row only, and a tap reads rows up to its input step's last live
-    row, so with rows ordered longest first padding costs nothing; a mask
-    whose live rows at a step are not a prefix is applied with ``np.where``.
+    its tap 0 reads. Rows must be ordered longest first (``model.collate``),
+    so that each step's live rows are a prefix; any other mask raises
+    ``ShapeError``. Each tap and output step is one product over the rows
+    live at both that step and the input step it reads, so padding costs
+    nothing.
     """
     x, f = _wrap(x), _wrap(f)
     vector = x.ndim == 1 and f.ndim == 1
@@ -602,7 +587,7 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid", mask=None) -> Tensor:
         )
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ParameterError(f"dilation must be a positive integer, got {d}")
-    (n, rows, cin), (k, _, cout) = xd.shape, fd.shape
+    (n, rows, _), (k, _, cout) = xd.shape, fd.shape
     if k < 1:
         raise ParameterError("kernel must have at least one tap")
     span = (k - 1) * d
@@ -613,50 +598,26 @@ def dilated_conv1d(x, f, d: int = 1, mode: str = "valid", mask=None) -> Tensor:
         raise ShapeError(f"input length {n} has no full window for k={k}, d={d}")
     length = n - span if mode == "valid" else n
     live, prefix = _live_rows(mask, rows, n, "dilated_conv1d")
+    if not prefix:
+        raise ShapeError("dilated_conv1d needs each step's live rows to be a prefix: rows longest first")
     out_live = live[n - length :]
-    if not prefix:
-        keep = np.asarray(mask, dtype=bool).T[:, :, None]
-        out_keep = keep[n - length :]
-        xd = np.where(keep, xd, 0.0)
-    block = max(1, _TEMP_ELEMS // max(1, rows * cin, rows * cout))  # positions per matmul
-
-    def windows():
-        """Per tap, and per run of at most ``block`` output positions that
-        share one live-row count: the tap, the x slice it reads, the output
-        slice it feeds and the count."""
-        for i in range(k):
-            lo = span - pad_left - d * i  # x-index of output position 0 for tap i
-            a, b = max(0, -lo), min(length, n - lo)  # the output positions it reads x for
-            if a >= b:
-                continue
-            count = np.minimum(out_live[a:b], live[a + lo : b + lo])
-            starts = np.flatnonzero(np.diff(count, prepend=-1))  # where a count begins
-            for start, stop in zip(starts + a, [*starts[1:] + a, b]):
-                c = int(count[start - a])
-                if c == 0:
-                    continue
-                for s in range(start, stop, block):
-                    e = min(s + block, stop)
-                    yield i, slice(s + lo, e + lo), slice(s, e), c
-
-    work = list(windows())
+    work = []  # per tap i and output step s: the input step t it reads and the rows c live at both
+    for i in range(k):
+        lo = span - pad_left - d * i  # the input step output step 0 reads through tap i
+        for s in range(max(0, -lo), min(length, n - lo)):
+            c = min(out_live[s], live[s + lo])
+            if c > 0:
+                work.append((i, s, s + lo, c))
     out = np.zeros((length, rows, cout))
-    for i, xsl, osl, c in work:
-        out[osl, :c] += np.matmul(xd[xsl, :c], fd[i])
-    if not prefix:
-        out = np.where(out_keep, out, 0.0)
+    for i, s, t, c in work:
+        out[s, :c] += xd[t, :c] @ fd[i]
 
     def rule(g):
         g = g.reshape(length, rows, cout)
-        if not prefix:
-            g = np.where(out_keep, g, 0.0)
         gx, gf = np.zeros(xd.shape), np.zeros(fd.shape)
-        for i, xsl, osl, c in work:
-            gs = g[osl, :c]
-            gx[xsl, :c] += np.matmul(gs, fd[i].T)
-            gf[i] += _tap_gradient(xd[xsl, :c], gs)
-        if not prefix:
-            gx = np.where(keep, gx, 0.0)
+        for i, s, t, c in work:
+            gx[t, :c] += g[s, :c] @ fd[i].T
+            gf[i] += xd[t, :c].T @ g[s, :c]
         return gx.reshape(x.shape), gf.reshape(f.shape)
 
     return _record((x, f), out.reshape(length) if vector else out, rule)

@@ -27,6 +27,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit of ``data``, one byte at a time: the reference ``gram_buckets`` is tested against."""
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte
@@ -53,8 +54,8 @@ def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) ->
 
     The n-grams of all tokens are hashed together: step ``k`` folds byte
     ``k`` into every gram longer than ``k`` bytes, longest first, so the
-    grams a step folds are a prefix. A whole marked token, which is longer
-    or shorter than every n, is hashed on its own.
+    grams a step folds are a prefix. A whole marked token that is longer or
+    shorter than every n is one more gram, listed after its n-grams.
     """
     marked = [f"<{t}>" for t in tokens]
     size = np.array([len(m) for m in marked], dtype=np.intp)
@@ -68,7 +69,8 @@ def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) ->
         byte_at = np.r_[0, np.cumsum(width)]
     base = np.cumsum(size) - size  # first character of each marked token
 
-    # n-grams grouped by n, each group in token order and then start order
+    # n-grams grouped by n, each group in token order and then start order,
+    # then the whole marked tokens that no n covers
     owner, lo, hi = [], [], []
     for n in range(n_min, n_max + 1):
         count = np.maximum(size - n + 1, 0)
@@ -77,6 +79,10 @@ def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) ->
         owner.append(tok)
         lo.append(byte_at[start])
         hi.append(byte_at[start + n])
+    whole = np.flatnonzero((size < n_min) | (size > n_max))
+    owner.append(whole)
+    lo.append(byte_at[base[whole]])
+    hi.append(byte_at[base[whole] + size[whole]])
     owner, lo, hi = np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
     length = hi - lo
     by_length = np.argsort(-length, kind="stable")
@@ -91,12 +97,9 @@ def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) ->
     ids = (hashes % np.uint64(buckets))[np.argsort(owner, kind="stable")].tolist()
 
     out, at = [], 0
-    for m, count in zip(marked, np.bincount(owner, minlength=len(marked)).tolist()):
-        grams = ids[at : at + count]
+    for count in np.bincount(owner, minlength=len(marked)).tolist():
+        out.append(tuple(ids[at : at + count]))
         at += count
-        if not n_min <= len(m) <= n_max:
-            grams.append(fnv1a64(m.encode("utf-8")) % buckets)
-        out.append(tuple(grams))
     return out
 
 
