@@ -164,10 +164,12 @@ class TestDilatedConv:
             assert all(s >= t for s in changed)
             assert max(s - t for s in changed) <= 2**levels - 1
 
+    @pytest.mark.parametrize("all_live_mask", [False, True])
     @pytest.mark.parametrize("mode", ["valid", "same", "centred"])
-    def test_time_major_channels_match_brute_force(self, mode):
+    def test_time_major_channels_match_brute_force(self, mode, all_live_mask):
         # out[s] = sum_i x[s - d*i] @ f[i] over x padded with `left` zeros before
-        # and enough after; rows > 1, cin != cout, spans longer than the input
+        # and enough after; rows > 1, cin != cout, spans longer than the input;
+        # a mask with every position live must change nothing
         rng = np.random.default_rng(21)
         for n, k, d in ((7, 3, 2), (6, 2, 1), (3, 4, 1), (2, 3, 2), (5, 1, 3)):
             span = (k - 1) * d
@@ -180,12 +182,13 @@ class TestDilatedConv:
             oracle = np.array([
                 sum(padded[s + span - d * i] @ f[i] for i in range(k)) for s in range(length)
             ])
-            out = ad.dilated_conv1d(Tensor(x), Tensor(f), d=d, mode=mode).data
+            mask = np.ones((2, n), dtype=bool) if all_live_mask else None
+            out = ad.dilated_conv1d(Tensor(x), Tensor(f), d=d, mode=mode, mask=mask).data
             assert out.shape == (length, 2, 4)
             assert np.max(np.abs(out - oracle)) < 1e-12
             xt, ft = Tensor(x, requires_grad=True), Tensor(f, requires_grad=True)
             weight = rng.uniform(-1, 1, out.shape)
-            build = lambda: ad.tsum(ad.mul(ad.dilated_conv1d(xt, ft, d=d, mode=mode), weight))
+            build = lambda: ad.tsum(ad.mul(ad.dilated_conv1d(xt, ft, d=d, mode=mode, mask=mask), weight))
             assert check_scalar_fn(build, [xt, ft]) < 1e-6
 
     def test_centred_mode_pads_both_sides(self):
@@ -201,13 +204,20 @@ class TestDilatedConv:
             ad.dilated_conv1d(Tensor([1.0, 2.0]), Tensor([1.0]), mode="full")
 
     @staticmethod
-    def _mask(rng, rows, n):
-        """``[rows, n]``: real lengths longest first, as ``collate`` orders rows."""
+    def _mask(rng, rows, n, full_and_empty_rows=False):
+        """``[rows, n]``: real lengths longest first, as ``collate`` orders rows.
+
+        With ``full_and_empty_rows`` the first row is live at every step and
+        the last at none.
+        """
         lengths = np.sort(rng.integers(0, n + 1, rows))[::-1]
+        if full_and_empty_rows:
+            lengths[0], lengths[-1] = n, 0
         return np.arange(n) < lengths[:, None]
 
+    @pytest.mark.parametrize("full_and_empty_rows", [False, True], ids=lambda b: f"length-sorted-{b}")
     @pytest.mark.parametrize("mode", ["valid", "same", "centred"])
-    def test_mask_equals_masked_input_and_output(self, mode):
+    def test_mask_equals_masked_input_and_output(self, mode, full_and_empty_rows):
         # the oracle: zero the input off the mask, convolve every row in full,
         # zero the output off the mask (in valid mode output s is masked as
         # input s + span); values and gradients agree to 1e-12
@@ -216,7 +226,7 @@ class TestDilatedConv:
             span = (k - 1) * d
             if mode == "valid" and n <= span:
                 continue
-            mask = self._mask(rng, 7, n)
+            mask = self._mask(rng, 7, n, full_and_empty_rows)
             keep_in = mask.T[:, :, None].astype(np.float64)
             keep_out = keep_in[span:] if mode == "valid" else keep_in
             x = Tensor(rng.uniform(-1, 1, (n, 7, 3)), requires_grad=True)
