@@ -341,20 +341,6 @@ def sub(a, b) -> Tensor:
     return add(a, mul(b, -1.0))
 
 
-# rows of a 2-D left operand per BLAS call in matmul's forward: one threaded
-# OpenBLAS gemm over a [96000, 192] operand (a 64-document word BiGRU
-# projection) left about 20 MB more resident for the rest of the process
-_MATMUL_ROWS = 2**13
-
-
-def _rows_matmul(a: Array, b: Array) -> Array:
-    """``a @ b`` for a 2-D ``a``, ``_MATMUL_ROWS`` rows of it per BLAS call, into one new array."""
-    out = np.empty(a.shape[:1] + b.shape[1:])
-    for lo in range(0, a.shape[0], _MATMUL_ROWS):
-        np.matmul(a[lo : lo + _MATMUL_ROWS], b, out=out[lo : lo + _MATMUL_ROWS])
-    return out
-
-
 def matmul(a, b) -> Tensor:
     """Matrix/vector product with numpy semantics for 1-D and 2-D operands."""
     a, b = _wrap(a), _wrap(b)
@@ -362,7 +348,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    out = _rows_matmul(a.data, b.data) if a.ndim == 2 else a.data @ b.data
+    out = a.data @ b.data
 
     def rule(g):
         ad, bd = a.data, b.data

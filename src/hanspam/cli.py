@@ -208,7 +208,7 @@ def _build_model(cfg: dict, config: HanConfig, vocab, seed: int) -> HanModel:
     model = HanModel(config, vocab, seed=seed)
     pretrained = cfg["model"].get("pretrained_vectors")
     if pretrained:
-        report = load_pretrained(pretrained, model.table)
+        report = load_pretrained(pretrained, vocab, model.params["embed.word"])
         print(f"pretrained vectors: {report.hits} hits, {report.misses} misses", file=sys.stderr)
     return model
 

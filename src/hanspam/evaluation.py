@@ -96,15 +96,13 @@ def roc_auc(scores, labels) -> float:
         raise UndefinedAUCError("roc_auc needs both classes present")
 
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # a tie block starts where a sorted score differs from the one before it
+    # (NaN differs from every score, so each NaN is a block of its own)
+    start = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    end = np.append(start[1:], scores.size) - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)  # average rank, 1-based
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

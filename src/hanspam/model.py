@@ -320,24 +320,36 @@ class AttentionTrace:
     sentence_weights: np.ndarray
 
 
-def init_params(config: HanConfig, table: EmbeddingTable, seed: int = 0) -> dict[str, Tensor]:
+def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, Tensor]:
     """All trainable tensors keyed by name, in a fixed construction order.
 
-    Each weight has the shape its op reads: ``cnn.w{w}.kernel`` is
-    ``[w, embed, maps]`` and ``tcn.block{l}.kernel`` ``[k, cin, channels]``
-    (see the stacks), ``{level}_gru.w``, ``.b`` and ``.u`` are
-    ``[2, in, 3u]``, ``[2, 3u]`` and ``[2, u, 3u]`` (see ``ad.bigru``).
-    Random weights are drawn in C order, a CNN kernel one entry at a time
+    ``embed.word`` is ``[n_words, embed]``, one row per vocabulary index,
+    and ``embed.bucket`` ``[buckets, embed]``. Each weight has the shape its
+    op reads: ``cnn.w{w}.kernel`` is ``[w, embed, maps]`` and
+    ``tcn.block{l}.kernel`` ``[k, cin, channels]`` (see the stacks),
+    ``{level}_gru.w``, ``.b`` and ``.u`` are ``[2, in, 3u]``, ``[2, 3u]``
+    and ``[2, u, 3u]`` (see ``ad.bigru``). The two embedding tables are
+    drawn first, from a stream of their own, word rows then bucket rows;
+    the PAD and UNK word rows are zero (padding must stay exactly zero, and
+    an unknown token embeds through its n-gram buckets only). The other
+    random weights are drawn in C order, a CNN kernel one entry at a time
     from its last, and a GRU's ``w`` and ``u`` one gate block at a time (per
     direction and gate z, r, h: ``w`` then ``u``); biases start at zero.
     Every array is C-contiguous.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4A11])))
     scale = 0.05
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE18B])))
+    words = rng.uniform(-scale, scale, size=(n_words, config.embed_dim))
+    words[[PAD, UNK]] = 0.0
     params: dict[str, Tensor] = {
-        "embed.word": table.word,
-        "embed.bucket": table.bucket,
+        "embed.word": Tensor(words, requires_grad=True, name="embed.word"),
+        "embed.bucket": Tensor(
+            rng.uniform(-scale, scale, size=(config.embed_buckets, config.embed_dim)),
+            requires_grad=True,
+            name="embed.bucket",
+        ),
     }
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4A11])))
 
     def zeros(name, *shape) -> np.ndarray:
         params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
@@ -380,22 +392,15 @@ def init_params(config: HanConfig, table: EmbeddingTable, seed: int = 0) -> dict
 
 
 class HanModel:
-    """Config + vocabulary + embedding table + named parameters. The table's
-    geometry (dim, n-gram range, buckets) is the config's ``embed_*`` fields."""
+    """Config + vocabulary + token hasher + named parameters. The hasher's
+    n-gram range and bucket count are the config's ``embed_*`` fields."""
 
     def __init__(self, config: HanConfig, vocab: Vocabulary, seed: int = 0):
         self.config = config
         self.vocab = vocab
-        self.table = EmbeddingTable(
-            vocab,
-            dim=config.embed_dim,
-            n_min=config.embed_n_min,
-            n_max=config.embed_n_max,
-            buckets=config.embed_buckets,
-            seed=seed,
-        )
+        self.table = EmbeddingTable(config.embed_n_min, config.embed_n_max, config.embed_buckets)
         self.seed = seed
-        self.params = init_params(config, self.table, seed=seed)
+        self.params = init_params(config, len(vocab), seed=seed)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(k, t) for k, t in self.params.items() if t.requires_grad]
@@ -516,47 +521,19 @@ class HanModel:
 
 _MAGIC = b"HANCKPT\x01"
 
-# checkpoint ``embed`` key: the HanConfig field it must equal
-_EMBED_FIELDS = {"dim": "embed_dim", "n_min": "embed_n_min", "n_max": "embed_n_max", "buckets": "embed_buckets"}
-
-
-def _check_embed(path, emb, config: HanConfig) -> None:
-    """``CheckpointError`` unless a header's ``embed`` section describes the
-    table ``config`` builds and says whether it trains."""
-    if not isinstance(emb, dict):
-        raise CheckpointError(f"{path} has an embed section that is not a JSON object")
-    missing = [k for k in (*_EMBED_FIELDS, "trainable") if k not in emb]
-    if missing:
-        raise CheckpointError(f"{path} has an embed section without {', '.join(missing)}")
-    for key, name in _EMBED_FIELDS.items():
-        # bool is an int subclass and 3.0 == 3: only an integer matches
-        if type(emb[key]) is not int or emb[key] != getattr(config, name):
-            raise CheckpointError(
-                f"{path} has embed {key} {json.dumps(emb[key])} where its config says {name} {getattr(config, name)}"
-            )
-    if not isinstance(emb["trainable"], bool):
-        raise CheckpointError(f"{path} has embed trainable {json.dumps(emb['trainable'])}, not true or false")
-
 
 def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None) -> None:
     """Versioned binary container; identical models serialize byte-identically."""
     names = list(model.params.keys())
     header = {
         "format": "hanspam-checkpoint",
-        "version": 2,
+        "version": 3,
         "config": model.config.to_dict(),
         "seed": model.seed,
         "vocab": {
             "tokens": model.vocab.index_to_token[2:],
             "freqs": model.vocab.freqs[2:],
             "min_count": model.vocab.min_count,
-        },
-        "embed": {
-            "dim": model.table.dim,
-            "n_min": model.table.n_min,
-            "n_max": model.table.n_max,
-            "buckets": model.table.buckets,
-            "trainable": model.table.trainable,
         },
         "params": [
             {"name": k, "shape": list(model.params[k].shape)} for k in names
@@ -575,10 +552,9 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 def load_checkpoint(path: str | Path) -> HanModel:
     """Read a checkpoint; ``CheckpointError`` if the bytes do not form one.
 
-    The header must be a version-2 hanspam checkpoint whose ``embed``
-    section matches its config's ``embed_*`` fields and whose parameter list
-    (names, shapes and order) is exactly what ``init_params`` builds for that
-    config; this is checked before the payload is read.
+    The header must be a version-3 hanspam checkpoint whose parameter list
+    (names, shapes and order) is exactly what ``init_params`` builds for its
+    config and vocabulary; this is checked before the payload is read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -597,14 +573,14 @@ def load_checkpoint(path: str | Path) -> HanModel:
             raise CheckpointError(f"{path} has an unreadable header: {exc}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path} has a header that is not a JSON object")
-        required = ("format", "version", "config", "seed", "vocab", "embed", "params")
+        required = ("format", "version", "config", "seed", "vocab", "params")
         missing = [k for k in required if k not in header]
         if missing:
             raise CheckpointError(f"{path} has a header without {', '.join(missing)}")
-        if header["format"] != "hanspam-checkpoint" or header["version"] != 2:
+        if header["format"] != "hanspam-checkpoint" or header["version"] != 3:
             raise CheckpointError(
                 f"{path} is format {header['format']!r} version {header['version']!r}, "
-                "not hanspam-checkpoint version 2"
+                "not hanspam-checkpoint version 3"
             )
         try:
             listed = [(spec["name"], tuple(int(n) for n in spec["shape"])) for spec in header["params"]]
@@ -624,8 +600,6 @@ def load_checkpoint(path: str | Path) -> HanModel:
             model = HanModel(config, vocab, seed=header["seed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad header: {type(exc).__name__}: {exc}") from None
-        _check_embed(path, header["embed"], config)
-        model.table.set_trainable(header["embed"]["trainable"])
         built = [(name, t.shape) for name, t in model.params.items()]
         if listed != built:
             spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"

@@ -1,4 +1,4 @@
-"""Training-fold vocabularies and subword-composed token embeddings.
+"""Training-fold vocabularies and the hashed subwords of token embeddings.
 
 A token's vector is its word row (when in vocabulary) plus the mean of its
 hashed character n-gram bucket rows; out-of-vocabulary tokens fall back to
@@ -162,32 +162,16 @@ class PretrainedFormatError(ValueError):
 
 
 class EmbeddingTable:
-    """Word rows plus hashed n-gram bucket rows, both held as autodiff tensors.
-    A model's geometry comes from its ``HanConfig``, which holds the defaults."""
+    """Token to n-gram bucket ids, hashed once per distinct token and cached.
+    A model builds it from its config's ``embed_n_min``, ``embed_n_max`` and
+    ``embed_buckets``; the rows the ids index are ``init_params``'s
+    ``embed.bucket``."""
 
-    def __init__(self, vocab: Vocabulary, dim: int, n_min: int, n_max: int, buckets: int, seed: int):
-        self.vocab = vocab
-        self.dim = dim
+    def __init__(self, n_min: int, n_max: int, buckets: int):
         self.n_min = n_min
         self.n_max = n_max
         self.buckets = buckets
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE18B])))
-        scale = 0.05
-        words = rng.uniform(-scale, scale, size=(len(vocab), dim))
-        words[PAD] = 0.0  # padding stays exactly zero; masking keeps it gradient-free
-        words[UNK] = 0.0  # unused: unknown tokens embed via n-gram buckets only
-        bucket_rows = rng.uniform(-scale, scale, size=(buckets, dim))
-        self.word = Tensor(words, requires_grad=True, name="embed.word")
-        self.bucket = Tensor(bucket_rows, requires_grad=True, name="embed.bucket")
         self._gram_cache: dict[str, tuple[int, ...]] = {}
-
-    @property
-    def trainable(self) -> bool:
-        return self.word.requires_grad
-
-    def set_trainable(self, flag: bool) -> None:
-        self.word.requires_grad = flag
-        self.bucket.requires_grad = flag
 
     def bucket_ids(self, token: str) -> tuple[int, ...]:
         if not token:
@@ -205,16 +189,17 @@ class EmbeddingTable:
             self._gram_cache.update(zip(new, gram_buckets(new, self.n_min, self.n_max, self.buckets)))
 
 
-def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport:
-    """Fill ``table``'s word rows in place from a text-format vector file
-    ("count dim" header) whose dimension is the table's. A vector line is
+def load_pretrained(path: str | Path, vocab: Vocabulary, word: Tensor) -> PretrainedReport:
+    """Fill the rows of ``word`` (a model's ``embed.word``, one row per
+    ``vocab`` index) in place from a text-format vector file ("count dim"
+    header) whose dimension is the row width. A vector line is
     split on single spaces after its trailing whitespace is cut, so a line
     ending in a space, as word2vec's text output writes, is read.
 
     Vocabulary tokens missing from the file get a zero word row so their
     vectors reduce to the n-gram composition.
     """
-    vocab, dim = table.vocab, table.dim
+    dim = word.shape[1]
     found = np.zeros(len(vocab), dtype=bool)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline()
@@ -245,9 +230,9 @@ def load_pretrained(path: str | Path, table: EmbeddingTable) -> PretrainedReport
             except ValueError:
                 raise PretrainedFormatError(f"{path}:{lineno}: non-numeric vector value") from None
             idx = vocab.lookup(token)
-            table.word.data[idx] = vec
+            word.data[idx] = vec
             found[idx] = True
-    table.word.data[2:][~found[2:]] = 0.0
+    word.data[2:][~found[2:]] = 0.0
     hits = int(found.sum())
     return PretrainedReport(hits=hits, misses=len(vocab) - 2 - hits)
 

@@ -549,12 +549,13 @@ class TestTrain:
 
     def test_frozen_embeddings_stay_fixed_while_rest_trains(self):
         model, docs = _fresh_model(variant="none", seed=8)
-        model.table.set_trainable(False)
+        tables = [model.params["embed.word"], model.params["embed.bucket"]]
+        for t in tables:
+            t.requires_grad = False
         encoded = [encode_document(d, model.vocab, model.table) for d in docs]
-        word_before = model.table.word.data.copy()
-        bucket_before = model.table.bucket.data.copy()
+        before = [t.data.copy() for t in tables]
         head_before = model.params["head.w"].data.copy()
         train(model, encoded[:24], encoded[24:], TrainConfig(batch_size=8, epochs=2, seed=8))
-        assert np.array_equal(model.table.word.data, word_before)
-        assert np.array_equal(model.table.bucket.data, bucket_before)
+        for t, was in zip(tables, before):
+            assert np.array_equal(t.data, was), t.name
         assert not np.array_equal(model.params["head.w"].data, head_before)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hanspam import autodiff as ad
+from hanspam.autodiff import Tensor
 from hanspam.ingest import EmailDocument
+from hanspam.model import HanConfig, HanModel
 from hanspam.vocab import (
     PAD,
     UNK,
@@ -25,12 +27,24 @@ def doc(*sentences, label=0):
     return EmailDocument(label=label, sentences=[s.split() for s in sentences])
 
 
-def compose(table, token):
+def compose(model, token):
     """``token``'s vector as the model composes it, through ``embedding_lookup``:
     only in-vocabulary tokens add their word row."""
-    word, buckets = table.vocab.lookup(token), table.bucket_ids(token)
-    vec = ad.embedding_lookup(table.word, table.bucket, [word], [word > UNK], buckets, [0, len(buckets)])
+    word, buckets = model.vocab.lookup(token), model.table.bucket_ids(token)
+    p = model.params
+    vec = ad.embedding_lookup(p["embed.word"], p["embed.bucket"], [word], [word > UNK], buckets, [0, len(buckets)])
     return vec.data[0]
+
+
+def embed_model(vocab, dim, n_max, buckets, seed=0):
+    """A model with no convolution whose embedding has the given geometry (n_min 3)."""
+    config = HanConfig(variant="none", embed_dim=dim, embed_n_max=n_max, embed_buckets=buckets)
+    return HanModel(config, vocab, seed=seed)
+
+
+def word_rows(vocab, dim):
+    """Word rows of ones, for ``load_pretrained`` to fill."""
+    return Tensor(np.ones((len(vocab), dim)))
 
 
 class TestBuildVocab:
@@ -91,7 +105,7 @@ class TestNgrams:
         assert [gram_buckets([t], n_min, n_max, buckets)[0] for t in tokens[-7:]] == want[-7:]
 
     def test_table_caches_what_it_hashes(self):
-        table = EmbeddingTable(build_vocab([doc("ab")], min_count=1), dim=4, n_min=3, n_max=4, buckets=11, seed=0)
+        table = EmbeddingTable(n_min=3, n_max=4, buckets=11)
         table.cache_tokens(["héllo", "ab", "", "ab"])
         assert set(table._gram_cache) == {"héllo", "ab"}
         assert table.bucket_ids("héllo") == tuple(fnv1a64(g.encode()) % 11 for g in char_ngrams("héllo", 3, 4))
@@ -99,33 +113,32 @@ class TestNgrams:
 
 
 @pytest.fixture
-def table():
-    vocab = build_vocab([doc("ab ab cd")], min_count=1)
-    return EmbeddingTable(vocab, dim=8, n_min=3, n_max=3, buckets=13, seed=4)
+def model():
+    return embed_model(build_vocab([doc("ab ab cd")], min_count=1), dim=8, n_max=3, buckets=13, seed=4)
 
 
 class TestEmbedToken:
-    def test_pad_is_zero(self, table):
-        assert np.array_equal(compose(table, ""), np.zeros(8))
+    def test_pad_is_zero(self, model):
+        assert np.array_equal(compose(model, ""), np.zeros(8))
 
-    def test_oov_deterministic_nonzero(self, table):
-        first = compose(table, "zzz")
-        second = compose(table, "zzz")
+    def test_oov_deterministic_nonzero(self, model):
+        first = compose(model, "zzz")
+        second = compose(model, "zzz")
         assert np.array_equal(first, second)
         assert np.any(first != 0)
 
-    def test_in_vocab_is_word_row_plus_gram_mean(self, table):
+    def test_in_vocab_is_word_row_plus_gram_mean(self, model):
         ids = [fnv1a64(g.encode()) % 13 for g in ("<ab", "ab>", "<ab>")]
-        expected = table.bucket.data[ids].mean(axis=0) + table.word.data[table.vocab.lookup("ab")]
-        assert np.allclose(compose(table, "ab"), expected)
+        expected = model.params["embed.bucket"].data[ids].mean(axis=0) + model.params["embed.word"].data[model.vocab.lookup("ab")]
+        assert np.allclose(compose(model, "ab"), expected)
 
-    def test_oov_is_gram_mean_alone(self, table):
+    def test_oov_is_gram_mean_alone(self, model):
         ids = [fnv1a64(g.encode()) % 13 for g in char_ngrams("zzz", 3, 3)]
-        assert np.allclose(compose(table, "zzz"), table.bucket.data[ids].mean(axis=0))
+        assert np.allclose(compose(model, "zzz"), model.params["embed.bucket"].data[ids].mean(axis=0))
 
-    def test_repeated_calls_bitwise_equal(self, table):
-        a = compose(table, "cd")
-        b = compose(table, "cd")
+    def test_repeated_calls_bitwise_equal(self, model):
+        a = compose(model, "cd")
+        b = compose(model, "cd")
         assert a.tobytes() == b.tobytes()
 
 
@@ -141,73 +154,73 @@ class TestLoadPretrained:
         vocab = build_vocab([doc("a a")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3]), ("b", [4, 5, 6])])
-        table = EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0)
-        report = load_pretrained(path, table)
+        word = word_rows(vocab, 3)
+        report = load_pretrained(path, vocab, word)
         assert report.hits == 1
-        assert np.array_equal(table.word.data[vocab.lookup("a")], [1.0, 2.0, 3.0])
+        assert np.array_equal(word.data[vocab.lookup("a")], [1.0, 2.0, 3.0])
 
     def test_repeated_token_counts_one_hit(self, tmp_path):
         vocab = build_vocab([doc("a b c")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3]), ("a", [4, 5, 6]), ("a", [7, 8, 9]), ("b", [0, 0, 1])])
-        table = EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0)
-        report = load_pretrained(path, table)
+        word = word_rows(vocab, 3)
+        report = load_pretrained(path, vocab, word)
         assert (report.hits, report.misses) == (2, 1)
-        assert np.array_equal(table.word.data[vocab.lookup("a")], [7.0, 8.0, 9.0])  # the last listing wins
+        assert np.array_equal(word.data[vocab.lookup("a")], [7.0, 8.0, 9.0])  # the last listing wins
 
     def test_dim_mismatch(self, tmp_path):
         vocab = build_vocab([doc("a")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 3, [("a", [1, 2, 3])])
         with pytest.raises(PretrainedFormatError, match="dimension"):
-            load_pretrained(path, EmbeddingTable(vocab, dim=200, n_min=3, n_max=6, buckets=7, seed=0))
+            load_pretrained(path, vocab, word_rows(vocab, 200))
 
     def test_malformed_line_reports_number(self, tmp_path):
         vocab = build_vocab([doc("a")], min_count=1)
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1 2 3\nb 1 2\n", encoding="utf-8")
         with pytest.raises(PretrainedFormatError, match=":3:"):
-            load_pretrained(path, EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0))
+            load_pretrained(path, vocab, word_rows(vocab, 3))
 
     def test_vector_line_ending_in_a_space_loads(self, tmp_path):
         # word2vec's text output ends every vector line with a space
         vocab = build_vocab([doc("ab")], min_count=1)
         path = tmp_path / "vecs.txt"
         path.write_text("1 3\nab 1 2 3 \n", encoding="utf-8")
-        table = EmbeddingTable(vocab, dim=3, n_min=3, n_max=6, buckets=7, seed=0)
-        assert load_pretrained(path, table) == PretrainedReport(hits=1, misses=0)
-        assert np.array_equal(table.word.data[vocab.lookup("ab")], [1.0, 2.0, 3.0])
+        word = word_rows(vocab, 3)
+        assert load_pretrained(path, vocab, word) == PretrainedReport(hits=1, misses=0)
+        assert np.array_equal(word.data[vocab.lookup("ab")], [1.0, 2.0, 3.0])
 
     def test_missing_token_falls_back_to_gram_mean(self, tmp_path):
         vocab = build_vocab([doc("ab xy")], min_count=1)
         path = tmp_path / "vecs.txt"
         _write_vectors(path, 4, [("ab", [1, 1, 1, 1])])
-        table = EmbeddingTable(vocab, dim=4, n_min=3, n_max=3, buckets=11, seed=0)
-        report = load_pretrained(path, table)
+        model = embed_model(vocab, dim=4, n_max=3, buckets=11)
+        report = load_pretrained(path, vocab, model.params["embed.word"])
         assert report.misses == 1
         ids = [fnv1a64(g.encode()) % 11 for g in char_ngrams("xy", 3, 3)]
-        assert np.allclose(compose(table, "xy"), table.bucket.data[ids].mean(axis=0))
+        assert np.allclose(compose(model, "xy"), model.params["embed.bucket"].data[ids].mean(axis=0))
 
 
 class TestEncodeDocument:
-    def test_alignment_and_weights(self, table):
+    def test_alignment_and_weights(self, model):
         d = doc("ab qq", "cd")
-        enc = encode_document(d, table.vocab, table)
+        enc = encode_document(d, model.vocab, model.table)
         assert enc.n_sentences == 2
-        assert enc.word_ids[0].tolist() == [table.vocab.lookup("ab"), UNK]
+        assert enc.word_ids[0].tolist() == [model.vocab.lookup("ab"), UNK]
         assert enc.word_weight[0].tolist() == [1.0, 0.0]
         assert len(enc.bucket_ids[0][1]) == len(char_ngrams("qq", 3, 3))
 
-    def test_word_weight_is_one_for_vocabulary_words_only(self, table):
+    def test_word_weight_is_one_for_vocabulary_words_only(self, model):
         d = EmailDocument(label=0, sentences=[["ab", "qq", "<pad>", "<unk>", "cd"], ["<unk>"]])
-        enc = encode_document(d, table.vocab, table)
+        enc = encode_document(d, model.vocab, model.table)
         assert [w.tolist() for w in enc.word_weight] == [[1.0, 0.0, 0.0, 0.0, 1.0], [0.0]]
         for weights, ids in zip(enc.word_weight, enc.word_ids):
             assert np.array_equal(weights, ids > UNK)
 
-    def test_empty_document_rejected(self, table):
+    def test_empty_document_rejected(self, model):
         with pytest.raises(VocabError):
-            encode_document(EmailDocument(label=0, sentences=[]), table.vocab, table)
+            encode_document(EmailDocument(label=0, sentences=[]), model.vocab, model.table)
 
     def test_test_fold_contents_never_influence_vocab(self):
         train = [doc("seen words only")]
