@@ -5,8 +5,8 @@ classifier with convolutional feature stacks needs. All arithmetic is 64-bit;
 gradient checking needs the headroom. A ``Tape`` records operations in forward
 (topological) order; ``backward`` replays the local rules in reverse and
 accumulates into ``Tensor.grad`` of the leaves only, made on first use. A leaf
-reached only by row gradients (an embedding table) gets a ``RowSet``, its
-touched rows only, so no table-sized gradient is ever made.
+that only ``embedding_lookup`` reaches (an embedding table) gets a ``RowSet``,
+its touched rows only, so no table-sized gradient is ever made.
 A whole bidirectional GRU is one op, ``bigru``: its rule runs backprop
 through time in numpy, so the tape holds one entry per BiGRU, not one per
 step and gate.
@@ -75,8 +75,8 @@ class Tensor:
     ``requires_grad`` marks trainable leaves; outputs of recorded operations
     inherit it but never hold a ``grad``. A leaf's ``grad`` is None until a
     backward reaches it, and ``zero_grad`` sets it back to None. The backward
-    makes a ``RowSet`` if only row gradients reach the leaf, and a dense array
-    otherwise.
+    makes a ``RowSet`` if only ``embedding_lookup`` reaches the leaf, and a
+    dense array otherwise.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -134,18 +134,14 @@ class Tensor:
 
 
 @dataclass
-class SparseRows:
-    """Gradient on some slices along axis 0 only: ``np.add.at(zeros, idx, val)``, any ``idx`` shape."""
+class RowSet:
+    """Row gradient of an embedding table: ``idx`` holds sorted distinct ids and
+    ``val[i]`` the summed row ``idx[i]``; every other row is zero. Made by
+    ``coalesce_rows``."""
 
     idx: Array
     val: Array
     shape: tuple[int, ...]
-
-
-@dataclass
-class RowSet(SparseRows):
-    """Coalesced row gradient: ``idx`` holds sorted distinct ids and ``val[i]``
-    the summed row ``idx[i]``; every other row is zero. Made by ``coalesce_rows``."""
 
 
 def coalesce_rows(idx, val: Array, shape: tuple[int, ...], src: Array | None = None) -> RowSet:
@@ -177,14 +173,14 @@ def dense_grad(t: "Tensor") -> Array:
     """``t``'s gradient as one array: zeros if it has none, a row set's rows added into zeros."""
     if t.grad is None:
         return np.zeros(t.shape)
-    return _sum_parts([t.grad]) if isinstance(t.grad, SparseRows) else t.grad
+    return _sum_parts([t.grad]) if isinstance(t.grad, RowSet) else t.grad
 
 
 @dataclass
 class TapeEntry:
     inputs: tuple[Tensor, ...]
     output: Tensor
-    rule: Callable[[Array], Sequence["Array | SparseRows | None"]]
+    rule: Callable[[Array], Sequence["Array | RowSet | None"]]
 
 
 _tls = threading.local()
@@ -234,7 +230,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     A leaf is a tensor that requires grad and is not the output of any entry
     on ``tape``; recorded intermediates get no ``grad``. Each tensor's
     incoming gradient parts are listed and summed once, when its entry is
-    reached (leaves: after the sweep). A leaf reached only by row parts, and
+    reached (leaves: after the sweep). A leaf reached only by row sets, and
     holding no dense gradient, gets them coalesced into one ``RowSet``
     together with the row set it holds; every other leaf gets a dense array.
     ``loss`` must be a scalar. Calling twice without ``zero_grad`` doubles the
@@ -242,7 +238,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    parts: dict[Tensor, list[Array | SparseRows]] = {loss: [np.ones_like(loss.data)]}
+    parts: dict[Tensor, list[Array | RowSet]] = {loss: [np.ones_like(loss.data)]}
     for entry in reversed(tape.entries):
         incoming = parts.pop(entry.output, None)
         if incoming is None:
@@ -254,30 +250,30 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if not leaf.requires_grad:
             continue
         held = [] if leaf.grad is None else [leaf.grad]
-        if all(isinstance(p, SparseRows) for p in held + incoming):
+        if all(isinstance(p, RowSet) for p in held + incoming):
             leaf.grad = _merge_rows(held + incoming, leaf.shape)
         else:
             leaf.grad = dense_grad(leaf)
             _sum_parts(incoming, into=leaf.grad)
 
 
-def _merge_rows(parts: list[SparseRows], shape: tuple[int, ...]) -> RowSet:
+def _merge_rows(parts: list[RowSet], shape: tuple[int, ...]) -> RowSet:
     """One row set holding the sum of ``parts``, each row summed in part order."""
-    if len(parts) == 1 and isinstance(parts[0], RowSet):
+    if len(parts) == 1:
         return parts[0]
-    idx = np.concatenate([p.idx.ravel() for p in parts])
-    return coalesce_rows(idx, np.concatenate([p.val.reshape(-1, *shape[1:]) for p in parts]), shape)
+    idx = np.concatenate([p.idx for p in parts])
+    return coalesce_rows(idx, np.concatenate([p.val for p in parts]), shape)
 
 
 def _sum_parts(parts: list, into: Array | None = None) -> Array:
     """Sum one tensor's gradient parts, adding the total to ``into`` if given.
 
-    All sparse rows go first, part by part in arrival order (the same sums as
+    All row sets go first, part by part in arrival order (the same sums as
     one scatter over their concatenation, without copying them into one); the
     dense parts follow, summed left to right in arrival order.
     """
-    rows = [p for p in parts if isinstance(p, SparseRows)]
-    dense = [p for p in parts if not isinstance(p, SparseRows)]
+    rows = [p for p in parts if isinstance(p, RowSet)]
+    dense = [p for p in parts if not isinstance(p, RowSet)]
     total = sum(dense[1:], dense[0]) if dense else None
     if not rows and into is None:
         return total
@@ -342,23 +338,18 @@ def sub(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix/vector product with numpy semantics for 1-D and 2-D operands."""
+    """``[n, k] @ [k, m]`` or ``[n, k] @ [k]``, with numpy semantics."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul takes [n, k] @ [k, m] or [n, k] @ [k], got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def rule(g):
-        ad, bd = a.data, b.data
-        if a.ndim == 2 and b.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if a.ndim == 2 and b.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if a.ndim == 1 and b.ndim == 2:
-            return g @ bd.T, np.outer(ad, g)
-        return g * bd, g * ad  # 1-D @ 1-D -> scalar
+        if b.ndim == 2:
+            return g @ b.data.T, a.data.T @ g
+        return np.outer(g, b.data), a.data.T @ g
 
     return _record((a, b), out, rule)
 
@@ -469,13 +460,15 @@ def transpose(x, axes) -> Tensor:
 
 def take_rows(x, idx) -> Tensor:
     """Gather slices along axis 0 by an index array of any shape, ``x.data[idx]``;
-    the backward rule scatter-adds sparsely, so repeated indices sum their gradients."""
+    the backward rule scatter-adds into zeros, so repeated indices sum their gradients."""
     x = _wrap(x)
     idx = np.asarray(idx, dtype=np.intp)
     out = x.data[idx]
 
     def rule(g):
-        return (SparseRows(idx, g, x.shape),)
+        gx = np.zeros(x.shape)
+        np.add.at(gx, idx, g)
+        return (gx,)
 
     return _record((x,), out, rule)
 

@@ -59,11 +59,17 @@ INPUT_ERRORS = (
 )
 
 
+def _read_utf8(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
+    data = json.loads(_read_utf8(path))
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
@@ -379,7 +385,7 @@ def _matrix_records(path: Path) -> list[dict]:
     """The records of a ``matrix.jsonl`` file; a line that is not a complete
     cell or aggregate record is a ``ConfigError`` naming its file and line."""
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
         if not line:
             continue
         try:

@@ -60,7 +60,6 @@ class HanConfig:
     tcn_kernel: int = 3
     tcn_channels: int = 64
     dropout: float = 0.5
-    n_classes: int = 2
     s_max: int = 30
     t_max: int = 50
     embed_buckets: int = 100_000
@@ -100,8 +99,6 @@ class HanConfig:
             raise ConfigError(
                 f"cnn window {max(self.cnn_windows)} exceeds t_max {self.t_max}"
             )
-        if self.n_classes != 2:
-            raise ConfigError("only the two-class head is supported")
 
     @property
     def feature_dim(self) -> int:
@@ -386,8 +383,8 @@ def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, Ten
         zeros(f"{level}_attn.b", 2 * u)
         draw(zeros(f"{level}_attn.u", 2 * u))
 
-    draw(zeros("head.w", 2 * u, config.n_classes))
-    zeros("head.b", config.n_classes)
+    draw(zeros("head.w", 2 * u, 2))
+    zeros("head.b", 2)
     return params
 
 
@@ -527,14 +524,10 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
     names = list(model.params.keys())
     header = {
         "format": "hanspam-checkpoint",
-        "version": 3,
+        "version": 4,
         "config": model.config.to_dict(),
         "seed": model.seed,
-        "vocab": {
-            "tokens": model.vocab.index_to_token[2:],
-            "freqs": model.vocab.freqs[2:],
-            "min_count": model.vocab.min_count,
-        },
+        "vocab": model.vocab.index_to_token[2:],
         "params": [
             {"name": k, "shape": list(model.params[k].shape)} for k in names
         ],
@@ -552,7 +545,7 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 def load_checkpoint(path: str | Path) -> HanModel:
     """Read a checkpoint; ``CheckpointError`` if the bytes do not form one.
 
-    The header must be a version-3 hanspam checkpoint whose parameter list
+    The header must be a version-4 hanspam checkpoint whose parameter list
     (names, shapes and order) is exactly what ``init_params`` builds for its
     config and vocabulary; this is checked before the payload is read.
     """
@@ -564,7 +557,8 @@ def load_checkpoint(path: str | Path) -> HanModel:
         if len(raw) != 8:
             raise CheckpointError(f"{path} is truncated: header length has {len(raw)} of 8 bytes")
         (hlen,) = struct.unpack("<Q", raw)
-        blob = fh.read(hlen)
+        size = os.fstat(fh.fileno()).st_size
+        blob = fh.read(min(hlen, size - fh.tell()))
         if len(blob) != hlen:
             raise CheckpointError(f"{path} is truncated: header has {len(blob)} of {hlen} bytes")
         try:
@@ -577,27 +571,24 @@ def load_checkpoint(path: str | Path) -> HanModel:
         missing = [k for k in required if k not in header]
         if missing:
             raise CheckpointError(f"{path} has a header without {', '.join(missing)}")
-        if header["format"] != "hanspam-checkpoint" or header["version"] != 3:
+        if header["format"] != "hanspam-checkpoint" or header["version"] != 4:
             raise CheckpointError(
                 f"{path} is format {header['format']!r} version {header['version']!r}, "
-                "not hanspam-checkpoint version 3"
+                "not hanspam-checkpoint version 4"
             )
         try:
             listed = [(spec["name"], tuple(int(n) for n in spec["shape"])) for spec in header["params"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a malformed parameter list: {exc!r}") from None
         declared = 8 * sum(int(np.prod(shape)) for _, shape in listed)
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        payload = size - fh.tell()
         if payload < declared:
             raise CheckpointError(f"{path} is truncated: payload has {payload} of {declared} bytes")
         if payload > declared:
             raise CheckpointError(f"{path} has {payload - declared} trailing bytes after the payload")
         try:
             config = HanConfig.from_dict(header["config"])
-            vocab = Vocabulary(
-                header["vocab"]["tokens"], header["vocab"]["freqs"], header["vocab"]["min_count"]
-            )
-            model = HanModel(config, vocab, seed=header["seed"])
+            model = HanModel(config, Vocabulary(header["vocab"]), seed=header["seed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad header: {type(exc).__name__}: {exc}") from None
         built = [(name, t.shape) for name, t in model.params.items()]

@@ -108,17 +108,12 @@ class VocabError(ValueError):
 
 
 class Vocabulary:
-    """Frequency-thresholded token index with reserved PAD/UNK slots.
+    """Token index with reserved PAD/UNK slots: ``tokens`` get indices 2, 3, ...
+    in the order given."""
 
-    Index assignment is deterministic: frequency descending, then token
-    lexicographic, so shuffled input yields an identical table.
-    """
-
-    def __init__(self, tokens: Sequence[str], freqs: Sequence[int], min_count: int = 1):
-        self.min_count = min_count
+    def __init__(self, tokens: Sequence[str]):
         self.index_to_token = [PAD_TOKEN, UNK_TOKEN] + list(tokens)
         self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
-        self.freqs = [0, 0] + list(freqs)
         if len(self.token_to_index) != len(self.index_to_token):
             raise VocabError("duplicate tokens in vocabulary")
 
@@ -134,7 +129,9 @@ class Vocabulary:
 
 
 def build_vocab(documents: Iterable[EmailDocument], min_count: int = 2) -> Vocabulary:
-    """Count tokens over training documents and keep those above threshold."""
+    """Count tokens over training documents and keep those seen ``min_count``
+    times or more, by count descending, then token lexicographic, so shuffled
+    input yields an identical vocabulary."""
     counts: Counter[str] = Counter()
     n_docs = 0
     for doc in documents:
@@ -143,12 +140,8 @@ def build_vocab(documents: Iterable[EmailDocument], min_count: int = 2) -> Vocab
             counts.update(sentence)
     if n_docs == 0:
         raise VocabError("cannot build a vocabulary from an empty training set")
-    kept = sorted(
-        ((tok, c) for tok, c in counts.items() if c >= min_count),
-        key=lambda item: (-item[1], item[0]),
-    )
-    vocab = Vocabulary([t for t, _ in kept], [c for _, c in kept], min_count=min_count)
-    return vocab
+    kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
+    return Vocabulary(kept)
 
 
 @dataclass
@@ -229,6 +222,8 @@ def load_pretrained(path: str | Path, vocab: Vocabulary, word: Tensor) -> Pretra
                 vec = np.array([float(v) for v in fields[1:]])
             except ValueError:
                 raise PretrainedFormatError(f"{path}:{lineno}: non-numeric vector value") from None
+            if not np.isfinite(vec).all():
+                raise PretrainedFormatError(f"{path}:{lineno}: non-finite vector value")
             idx = vocab.lookup(token)
             word.data[idx] = vec
             found[idx] = True

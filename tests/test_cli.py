@@ -392,6 +392,7 @@ class TestExitCodes:
         "corrupt, message",
         [
             (lambda b: b[:12], "header length has 4 of 8 bytes"),
+            (lambda b: b[:8] + struct.pack("<Q", 2**64 - 1) + b"{}{}", "truncated: header has 4 of"),
             (lambda b: b[:-5], "truncated: payload has"),
             (lambda b: b"HANCKPT\x02" + b[8:], "bad magic"),
             (lambda b: b + b"junk", "4 trailing bytes"),
@@ -403,8 +404,8 @@ class TestExitCodes:
                 ),
                 "lists head.b [2] where its config builds head.w [8, 2]",
             ),
-            (_with_header(lambda h: {**h, "version": 99}), "version 99, not hanspam-checkpoint version 3"),
-            (_with_header(lambda h: {**h, "version": 1}), "version 1, not hanspam-checkpoint version 3"),
+            (_with_header(lambda h: {**h, "version": 99}), "version 99, not hanspam-checkpoint version 4"),
+            (_with_header(lambda h: {**h, "version": 1}), "version 1, not hanspam-checkpoint version 4"),
             (
                 # a version-2 header restated the embedding geometry in an embed section
                 _with_header(
@@ -417,7 +418,19 @@ class TestExitCodes:
                         },
                     }
                 ),
-                "version 2, not hanspam-checkpoint version 3",
+                "version 2, not hanspam-checkpoint version 4",
+            ),
+            (
+                # a version-3 header kept the token counts and the threshold, and n_classes in its config
+                _with_header(
+                    lambda h: {
+                        **h,
+                        "version": 3,
+                        "vocab": {"tokens": h["vocab"], "freqs": [1] * len(h["vocab"]), "min_count": 1},
+                        "config": {**h["config"], "n_classes": 2},
+                    }
+                ),
+                "version 3, not hanspam-checkpoint version 4",
             ),
             (_with_header(lambda h: {**h, "format": "other"}), "format 'other'"),
             (
@@ -426,8 +439,9 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "cut_header", "cut_payload", "bad_magic", "trailing_junk", "no_vocab", "list_header",
-            "no_head_w", "version_99", "version_1", "version_2", "other_format", "config_over_other_shapes",
+            "cut_header", "huge_header_length", "cut_payload", "bad_magic", "trailing_junk", "no_vocab",
+            "list_header", "no_head_w", "version_99", "version_1", "version_2", "version_3", "other_format",
+            "config_over_other_shapes",
         ],
     )
     def test_damaged_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys, corrupt, message):
@@ -459,10 +473,11 @@ class TestExitCodes:
             ({"gru_hidden": True}, "gru_hidden must be an integer, got True"),
             ({"cnn_windows": 3}, "cnn_windows must be a list of integers, got 3"),
             ({"cnn_windows": [2, 2.5]}, "cnn_windows must be a list of integers, got [2, 2.5]"),
+            ({"n_classes": 2}, "unknown model config key(s): n_classes"),
         ],
         ids=["unknown_key", "no_windows", "zero_window", "ngram_range", "model_not_object",
              "string_dim", "string_s_max", "float_t_max", "string_dropout", "zero_s_max",
-             "bool_hidden", "int_windows", "float_window"],
+             "bool_hidden", "int_windows", "float_window", "n_classes"],
     )
     def test_bad_model_config_is_input_error(self, tmp_path, corpus_dir, capsys, model, message):
         section = {**TINY_MODEL, **model} if isinstance(model, dict) else model
@@ -521,6 +536,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()  # rejected before any work
 
+    def test_config_file_not_utf8_is_input_error(self, tmp_path, corpus_dir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {cfg} is not UTF-8 text (byte 10: invalid start byte)\n"
+        assert not out.exists()  # rejected before any work
+
     def test_runtime_failure_is_exit_one(self, tmp_path, corpus_dir, monkeypatch, capsys):
         docs = make_corpus(n_docs=8, seed=9)
         vocab = build_vocab(docs, min_count=1)
@@ -575,6 +599,15 @@ class TestReport:
         assert captured.out == ""  # nothing printed before the file is known to be whole
         assert captured.err.startswith(f"error: {path}:2: {message}")
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_matrix_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "matrix.jsonl"
+        path.write_bytes(b'{"train_id": "\xff"}\n')
+        rc = main(["report", "--matrix", str(path)])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is not UTF-8 text (byte 14: invalid start byte)\n"
 
 
 class TestGradcheckCommand:

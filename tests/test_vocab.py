@@ -182,6 +182,13 @@ class TestLoadPretrained:
         with pytest.raises(PretrainedFormatError, match=":3:"):
             load_pretrained(path, vocab, word_rows(vocab, 3))
 
+    def test_non_finite_value_reports_number(self, tmp_path):
+        vocab = build_vocab([doc("a")], min_count=1)
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\nb nan 2 3\na 1 inf 3\n", encoding="utf-8")  # b is not in the vocabulary
+        with pytest.raises(PretrainedFormatError, match=r":3: non-finite vector value"):
+            load_pretrained(path, vocab, word_rows(vocab, 3))
+
     def test_vector_line_ending_in_a_space_loads(self, tmp_path):
         # word2vec's text output ends every vector line with a space
         vocab = build_vocab([doc("ab")], min_count=1)
