@@ -36,7 +36,7 @@ from .ingest import (
     render_stats,
     to_document,
 )
-from .model import CheckpointError, ConfigError, HanConfig, HanModel
+from .model import VARIANTS, CheckpointError, ConfigError, HanConfig, HanModel, check_section
 from .training import TrainConfig, TrainingDiverged, train
 from .vocab import PretrainedFormatError, VocabError, build_vocab, load_pretrained
 
@@ -75,12 +75,17 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-# config key: (type, valid value?, what a valid value is); "" is the top
-# level and "data" the corpus section, where only the seed and the
-# include_subject switch are checked
+# config key: (type, valid value?, what a valid value is), for check_section;
+# "" is the top level, "data" the corpus section and "dataset" one entry of
+# the datasets table; HanConfig checks the model section's other keys
 _KEYS = {
-    "": {"seed": (int, lambda v: True, "an integer")},
-    "data": {"include_subject": (bool, lambda v: True, "true or false")},
+    "": {"seed": (int, lambda v: True, "an integer"), "out": (str, lambda v: True, "a string")},
+    "model": {"pretrained_vectors": (str, lambda v: True, "a string")},
+    "data": {
+        **dict.fromkeys(("path", "layout"), (str, lambda v: True, "a string")),
+        "include_subject": (bool, lambda v: True, "true or false"),
+    },
+    "dataset": dict.fromkeys(("path", "layout", "diagonal"), (str, lambda v: True, "a string")),
     "train": {
         "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
         "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
@@ -98,23 +103,10 @@ _KEYS = {
 }
 
 
-def _check_section(name: str, section: dict) -> None:
-    """``ConfigError`` for an unknown key or a mistyped or out-of-range value."""
-    keys = _KEYS[name]
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
-    for key, value in section.items():
-        kind, valid, want = keys[key]
-        # bool is an int subclass: only the switches take one
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not valid(value):
-            raise ConfigError(f"{name} {key} must be {want}, got {json.dumps(value)}".lstrip())
-
-
 def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
     """File settings overlaid with any flags the user actually passed, and the
-    model config built from them; both sections are checked before any
-    corpus file is read."""
+    model config built from them; each section is checked before any corpus
+    file is read or any directory is made."""
     cfg = {
         "seed": 0,
         "out": "out",
@@ -149,12 +141,19 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
             for part in target[:-1]:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
-    _check_section("", {"seed": cfg["seed"]})
+    check_section("", {"seed": cfg["seed"], "out": cfg["out"]}, _KEYS[""])
     cfg["data"].setdefault("include_subject", False)
-    _check_section("data", {"include_subject": cfg["data"]["include_subject"]})
-    _check_section("train", cfg["train"])
-    _check_section("eval", cfg["eval"])
-    model_cfg = {k: v for k, v in cfg["model"].items() if k != "pretrained_vectors"}
+    for name in ("data", "train", "eval"):
+        check_section(name, cfg[name], _KEYS[name])
+    for name in sorted(cfg["datasets"]):
+        entry = cfg["datasets"][name]
+        if not isinstance(entry, dict) or "path" not in entry:
+            raise ConfigError(f"dataset {name!r} in the 'datasets' table has no \"path\"")
+        check_section(f"dataset {name!r}", entry, _KEYS["dataset"])
+        if entry.get("diagonal", "cv") not in DIAGONAL_PROTOCOLS:
+            raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {entry['diagonal']!r}")
+    model_cfg = dict(cfg["model"])
+    check_section("model", {"pretrained_vectors": model_cfg.pop("pretrained_vectors", "")}, _KEYS["model"])
     return cfg, HanConfig.from_dict(model_cfg)
 
 
@@ -317,21 +316,17 @@ def cmd_eval(args) -> int:
 
 def cmd_cross(args) -> int:
     cfg, config = _merge_config(args)
-    out = _out_dir(cfg)
-    _snapshot(cfg, out)
-    seed = cfg["seed"]
     datasets_cfg = cfg["datasets"]
     if not datasets_cfg:
         raise ConfigError("cross needs a 'datasets' table in the config file")
+    out = _out_dir(cfg)
+    _snapshot(cfg, out)
+    seed = cfg["seed"]
 
     specs, skipped = [], []
     for name in sorted(datasets_cfg):
         entry = datasets_cfg[name]
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"dataset {name!r} in the 'datasets' table has no \"path\"")
         diagonal = entry.get("diagonal", "cv")
-        if diagonal not in DIAGONAL_PROTOCOLS:
-            raise ConfigError(f"dataset {name!r} has unknown diagonal protocol {diagonal!r}")
         docs, dataset_skipped = _ingest(entry, config, cfg["data"]["include_subject"])
         skipped += dataset_skipped
         specs.append(
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a classifier and write a checkpoint")
     common(p_train)
-    p_train.add_argument("--variant", choices=("none", "cnn", "tcn"), default=None)
+    p_train.add_argument("--variant", choices=VARIANTS, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--batch", type=int, default=None)
     p_train.set_defaults(fn=cmd_train)
@@ -459,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("cross", help="full train-by-test dataset grid")
     common(p_cross, data=False)
-    p_cross.add_argument("--variant", choices=("none", "cnn", "tcn"), default=None)
+    p_cross.add_argument("--variant", choices=VARIANTS, default=None)
     p_cross.add_argument("--epochs", type=int, default=None)
     p_cross.add_argument("--batch", type=int, default=None)
     p_cross.set_defaults(fn=cmd_cross)

@@ -254,40 +254,30 @@ def _mean_cell(cells: list[EvalCell], train_id: str, test_id: str) -> EvalCell:
 
 def _diagonal_cell(ds: DatasetSpec, train_fn: TrainFn, score_fn: ScoreFn,
                    k: int, seed: int) -> EvalCell:
+    """The mean cell over the protocol's (train, validation, test) splits."""
     docs = list(ds.docs)
-    fold_cells: list[EvalCell] = []
     if ds.diagonal == "original_split":
         by_group: dict[str, list[int]] = {}
         for i, g in enumerate(ds.groups):
             by_group.setdefault(g, []).append(i)
         if "train" not in by_group or "test" not in by_group:
             raise FoldError(f"{ds.name}: original_split needs 'train' and 'test' groups")
-        train_idx = by_group["train"]
-        val_idx = by_group.get("adapt", [])
-        test_idx = by_group["test"]
+        splits = [(by_group["train"], by_group.get("adapt", []), by_group["test"])]
+    elif ds.diagonal == "groups_as_folds":
+        groups = np.asarray(ds.groups)
+        names = sorted(set(ds.groups))
+        if len(names) < 2:
+            raise FoldError(f"{ds.name}: groups_as_folds needs >= 2 groups")
+        splits = [(np.flatnonzero(groups != g), [], np.flatnonzero(groups == g)) for g in names]
+    else:
+        splits = [(train, [], test) for train, test in stratified_kfold(ds.labels, k=k, seed=seed)]
+
+    cells = []
+    for train_idx, val_idx, test_idx in splits:
         model = train_fn([docs[i] for i in train_idx], [docs[i] for i in val_idx])
         scores = score_fn(model, [docs[i] for i in test_idx])
-        return evaluate_scores(scores, ds.labels[test_idx], ds.name, ds.name)
-
-    if ds.diagonal == "groups_as_folds":
-        groups = sorted(set(ds.groups))
-        if len(groups) < 2:
-            raise FoldError(f"{ds.name}: groups_as_folds needs >= 2 groups")
-        splits = []
-        for g in groups:
-            test = np.array([i for i, gg in enumerate(ds.groups) if gg == g], dtype=np.intp)
-            train = np.array([i for i, gg in enumerate(ds.groups) if gg != g], dtype=np.intp)
-            splits.append((train, test))
-    else:
-        splits = stratified_kfold(ds.labels, k=k, seed=seed)
-
-    for train_idx, test_idx in splits:
-        model = train_fn([docs[i] for i in train_idx], [])
-        scores = score_fn(model, [docs[i] for i in test_idx])
-        fold_cells.append(
-            evaluate_scores(scores, ds.labels[test_idx], ds.name, ds.name)
-        )
-    return _mean_cell(fold_cells, ds.name, ds.name)
+        cells.append(evaluate_scores(scores, ds.labels[test_idx], ds.name, ds.name))
+    return _mean_cell(cells, ds.name, ds.name)
 
 
 def cross_dataset_eval(

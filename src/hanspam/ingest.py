@@ -323,15 +323,22 @@ LAYOUTS = {
 
 
 def _trec_listing(root: Path) -> list[tuple[Path, int, None]]:
-    """``(path, label, None)`` per line of ``full/index`` that reads ``label path``."""
+    """``(path, label, None)`` per line of ``full/index``, each ``spam PATH``
+    or ``ham PATH``; blank lines are skipped, and any other line is a
+    ``LayoutError`` naming it."""
     index = root / "full" / "index"
     if not index.exists():
         raise LayoutError(f"trec layout needs {index}, not found")
-    return [
-        ((root / "full" / parts[1]).resolve(), SPAM if parts[0].lower() == "spam" else HAM, None)
-        for line in index.read_text(encoding="utf-8", errors="replace").splitlines()
-        if len(parts := line.split()) == 2
-    ]
+    labels = {name: label for label, name in LABEL_NAMES.items()}
+    listing = []
+    for lineno, line in enumerate(index.read_text(encoding="utf-8", errors="replace").splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2 or parts[0].lower() not in labels:
+            raise LayoutError(f"{index}:{lineno}: expected 'spam PATH' or 'ham PATH', got {line.strip()!r}")
+        listing.append(((root / "full" / parts[1]).resolve(), labels[parts[0].lower()], None))
+    return listing
 
 
 def _tree_listing(root: Path, classify) -> list[tuple[Path, int, str | None]]:

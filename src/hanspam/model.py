@@ -28,7 +28,7 @@ import itertools
 import json
 import os
 import struct
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,8 +45,39 @@ class ConfigError(ValueError):
     pass
 
 
+def check_section(name: str, section: dict, keys: dict) -> None:
+    """``ConfigError`` for a key not in ``keys``, or a value off its row
+    ``(type, valid value?, what a valid value is)``; ``name`` leads the message."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
+    for key, value in section.items():
+        kind, valid, want = keys[key]
+        # bool is an int subclass: only the switches take one
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not valid(value):
+            shown = json.dumps(value, default=repr)  # repr: what JSON cannot show, e.g. a numpy integer
+            raise ConfigError(f"{name} {key} must be {want}, got {shown}".lstrip())
+
+
 class CheckpointError(ValueError):
     """A checkpoint file is not one, is cut short or has bytes past its end."""
+
+
+# HanConfig field: (type, valid value?, what a valid value is), as check_section reads them
+_MODEL_KEYS = {
+    **dict.fromkeys(
+        ("embed_dim", "gru_hidden", "cnn_maps", "tcn_levels", "tcn_kernel", "tcn_channels",
+         "s_max", "t_max", "embed_buckets", "embed_n_min", "embed_n_max"),
+        (int, lambda v: v >= 1, "an integer >= 1"),
+    ),
+    "variant": (str, lambda v: v in VARIANTS, f"one of {json.dumps(VARIANTS)}"),
+    "cnn_windows": (
+        (list, tuple),
+        lambda v: len(v) > 0 and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in v),
+        "a non-empty list of integers >= 1",
+    ),
+    "dropout": ((int, float), lambda v: 0 <= v < 1, "a number in [0, 1)"),
+}
 
 
 @dataclass
@@ -67,37 +98,16 @@ class HanConfig:
     embed_n_max: int = 6
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        # types before ranges; an annotation is the string "int" under
-        # postponed evaluation and the class otherwise; bool, an int
-        # subclass, is no size
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
-            raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
-        if not isinstance(self.cnn_windows, (tuple, list)) or any(
-            isinstance(w, bool) or not isinstance(w, int) for w in self.cnn_windows
-        ):
-            shown = list(self.cnn_windows) if isinstance(self.cnn_windows, tuple) else self.cnn_windows
-            raise ConfigError(f"cnn_windows must be a list of integers, got {shown!r}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name in ("embed_dim", "gru_hidden", "tcn_levels", "tcn_kernel",
-                     "tcn_channels", "cnn_maps", "s_max", "t_max", "embed_buckets"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if not self.cnn_windows or min(self.cnn_windows) < 1:
-            raise ConfigError(f"cnn_windows must be positive window sizes, got {list(self.cnn_windows)}")
-        if not 1 <= self.embed_n_min <= self.embed_n_max:
+        # vars, not asdict: asdict deep-copies, and every checkpoint load builds a config
+        check_section("model", vars(self), _MODEL_KEYS)
+        if self.embed_n_min > self.embed_n_max:
             raise ConfigError(
-                f"need 1 <= embed_n_min <= embed_n_max, got {self.embed_n_min} and {self.embed_n_max}"
+                f"model embed_n_max must be an integer >= embed_n_min ({self.embed_n_min}), "
+                f"got {self.embed_n_max}"
             )
         if self.variant == "cnn" and max(self.cnn_windows) > self.t_max:
             raise ConfigError(
-                f"cnn window {max(self.cnn_windows)} exceeds t_max {self.t_max}"
+                f"model cnn_windows must be sizes <= t_max ({self.t_max}), got {list(self.cnn_windows)}"
             )
 
     @property
@@ -110,14 +120,12 @@ class HanConfig:
         return self.embed_dim
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["cnn_windows"] = list(self.cnn_windows)
-        return d
+        return dict(vars(self), cnn_windows=list(self.cnn_windows))
 
     @classmethod
     def from_dict(cls, d: dict) -> "HanConfig":
         d = dict(d)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        unknown = sorted(set(d) - set(_MODEL_KEYS))
         if unknown:
             raise ConfigError(f"unknown model config key(s): {', '.join(unknown)}")
         if isinstance(d.get("cnn_windows"), list):
@@ -202,7 +210,7 @@ def conv_feature_stack(
     ``x`` is ``[steps, rows, dim]``; window ``w`` sees ``(w-1)//2`` earlier
     positions. Its ``cnn.w{w}.kernel`` is ``[w, dim, maps]`` in the order
     ``dilated_conv1d`` applies it: entry ``j`` reads position
-    ``t + (w-1)//2 - j``, so the last entry reads the earliest position.
+    ``t + w//2 - j``, so the last entry reads the earliest position.
     Outside the sequence, and off ``mask`` (``[rows, steps]``), it reads
     zeros; a position off the mask gets ``relu(bias)``.
     """
@@ -423,6 +431,29 @@ class HanModel:
         )
         return ad.take_rows(vectors, batch.tokens.T)
 
+    def _words(self, batch: Batch, drop: Dropout) -> Tensor:
+        """Word features ``[T, rows, feature_dim]``: the embedding, through
+        the variant's convolutional stack if it has one."""
+        cfg = self.config
+        # the stacks get the embedding as their only reference, so it can go
+        # as soon as they are done with it
+        if cfg.variant == "cnn":
+            return conv_feature_stack(self._embed(batch), self.params, cfg.cnn_windows, drop, batch.tok_mask)
+        if cfg.variant == "tcn":
+            return tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, drop, batch.tok_mask)
+        return self._embed(batch)
+
+    def _level(self, level: str, x: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+        """One HAN level, ``word`` or ``sent``: its BiGRU annotates ``x``, and
+        its attention pools each row (returned as ``attention_pool`` does)."""
+        p = self.params
+        # w goes positionally: a tracer tells the levels apart by its name
+        ann = bigru_encode(x, mask, p[f"{level}_gru.w"], p[f"{level}_gru.b"], p[f"{level}_gru.u"])
+        # without a tape, and with no reference left in the caller, this frees
+        # the input before attention
+        del x
+        return attention_pool(ann, mask, p[f"{level}_attn.w"], p[f"{level}_attn.b"], p[f"{level}_attn.u"])
+
     def forward_batch(
         self, batch: Batch, training: bool = False, step: int = 0
     ) -> tuple[Tensor, Tensor, Tensor]:
@@ -432,57 +463,16 @@ class HanModel:
         ``batch.tokens`` order (``batch.sent_rows`` maps sentences to rows);
         sentence attention ``alpha_s`` is ``[docs, S]``.
         """
-        cfg = self.config
-        drop = Dropout(p=cfg.dropout, seed=self.seed, step=step) if training else NO_DROPOUT
-        mask = batch.tok_mask
-        # the stacks get the embedding as their only reference, so it can go
-        # as soon as they are done with it
-        if cfg.variant == "cnn":
-            x = conv_feature_stack(self._embed(batch), self.params, cfg.cnn_windows, drop, mask)
-        elif cfg.variant == "tcn":
-            x = tcn_stack(self._embed(batch), self.params, cfg.tcn_levels, drop, mask)
-        else:
-            x = self._embed(batch)
-
-        # w goes positionally: a tracer tells the levels apart by its name
-        word_ann = bigru_encode(
-            x,
-            mask,
-            self.params["word_gru.w"],
-            self.params["word_gru.b"],
-            self.params["word_gru.u"],
-        )
-        del x  # without a tape, nothing holds the word features past the BiGRU
-        sent_vec, alpha_w = attention_pool(
-            word_ann,
-            mask,
-            self.params["word_attn.w"],
-            self.params["word_attn.b"],
-            self.params["word_attn.u"],
-        )
-
+        drop = Dropout(p=self.config.dropout, seed=self.seed, step=step) if training else NO_DROPOUT
+        # as a temporary, the word features' only reference is the level's (from CPython 3.11)
+        sent_vec, alpha_w = self._level("word", self._words(batch, drop), batch.tok_mask)
         # gather the sentence rows into one time-major [S, B, 2u] sequence;
         # padding slots read the zero row appended after the last sentence
         pad_row = Tensor(np.zeros((1, sent_vec.shape[1])))
         sent_seq = ad.take_rows(ad.concat([sent_vec, pad_row]), batch.sent_rows.T)
-        sent_ann = bigru_encode(
-            sent_seq,
-            batch.sent_mask,
-            self.params["sent_gru.w"],
-            self.params["sent_gru.b"],
-            self.params["sent_gru.u"],
-        )
-        doc_vec, alpha_s = attention_pool(
-            sent_ann,
-            batch.sent_mask,
-            self.params["sent_attn.w"],
-            self.params["sent_attn.b"],
-            self.params["sent_attn.u"],
-        )
-
+        doc_vec, alpha_s = self._level("sent", sent_seq, batch.sent_mask)
         logits = doc_vec @ self.params["head.w"] + self.params["head.b"]
-        probs = ad.softmax(logits)
-        return probs, alpha_w, alpha_s
+        return ad.softmax(logits), alpha_w, alpha_s
 
     def forward_document(self, doc: EncodedDocument) -> tuple[np.ndarray, AttentionTrace]:
         """Evaluation-mode probabilities and attention trace for one document."""

@@ -60,3 +60,5 @@ def test_tracer_splits_the_gru_levels():
     for names in report["forwards"]:
         assert names.count("model.word_gru") == 1, names
         assert names.count("model.sent_gru") == 1, names
+        assert names.count("model.word_attn") == 1, names
+        assert names.count("model.sent_attn") == 1, names

@@ -461,18 +461,18 @@ class TestExitCodes:
         "model, message",
         [
             ({"bogus": 1}, "unknown model config key(s): bogus"),
-            ({"cnn_windows": []}, "cnn_windows must be positive window sizes, got []"),
-            ({"cnn_windows": [0, 2]}, "cnn_windows must be positive window sizes, got [0, 2]"),
-            ({"embed_n_min": 5, "embed_n_max": 3}, "need 1 <= embed_n_min <= embed_n_max, got 5 and 3"),
+            ({"cnn_windows": []}, "model cnn_windows must be a non-empty list of integers >= 1, got []"),
+            ({"cnn_windows": [0, 2]}, "model cnn_windows must be a non-empty list of integers >= 1, got [0, 2]"),
+            ({"embed_n_min": 5, "embed_n_max": 3}, "model embed_n_max must be an integer >= embed_n_min (5), got 3"),
             ([1, 2], "config section 'model' must be a JSON object, got [1, 2]"),
-            ({"embed_dim": "8"}, "embed_dim must be an integer, got '8'"),
-            ({"s_max": "3"}, "s_max must be an integer, got '3'"),
-            ({"t_max": 2.5}, "t_max must be an integer, got 2.5"),
-            ({"dropout": "0.1"}, "dropout must be a number, got '0.1'"),
-            ({"s_max": 0}, "s_max must be positive"),
-            ({"gru_hidden": True}, "gru_hidden must be an integer, got True"),
-            ({"cnn_windows": 3}, "cnn_windows must be a list of integers, got 3"),
-            ({"cnn_windows": [2, 2.5]}, "cnn_windows must be a list of integers, got [2, 2.5]"),
+            ({"embed_dim": "8"}, 'model embed_dim must be an integer >= 1, got "8"'),
+            ({"s_max": "3"}, 'model s_max must be an integer >= 1, got "3"'),
+            ({"t_max": 2.5}, "model t_max must be an integer >= 1, got 2.5"),
+            ({"dropout": "0.1"}, 'model dropout must be a number in [0, 1), got "0.1"'),
+            ({"s_max": 0}, "model s_max must be an integer >= 1, got 0"),
+            ({"gru_hidden": True}, "model gru_hidden must be an integer >= 1, got true"),
+            ({"cnn_windows": 3}, "model cnn_windows must be a non-empty list of integers >= 1, got 3"),
+            ({"cnn_windows": [2, 2.5]}, "model cnn_windows must be a non-empty list of integers >= 1, got [2, 2.5]"),
             ({"n_classes": 2}, "unknown model config key(s): n_classes"),
         ],
         ids=["unknown_key", "no_windows", "zero_window", "ngram_range", "model_not_object",
@@ -524,14 +524,26 @@ class TestExitCodes:
             ({"eval": {"expected_datasets": -1}}, "eval expected_datasets must be an integer >= 0, got -1"),
             ({"eval": {"folds": 3}}, "unknown eval config key(s): folds"),
             ({"data": {"include_subject": 1}}, "data include_subject must be true or false, got 1"),
+            ({"out": 5}, "out must be a string, got 5"),
+            ({"data": {"path": 5}}, "data path must be a string, got 5"),
+            ({"data": {"path": "c", "layout": ["x"]}}, 'data layout must be a string, got ["x"]'),
+            ({"data": {"path": "c", "subject": True}}, "unknown data config key(s): subject"),
+            ({"datasets": {"a": {"path": 5}}}, "dataset 'a' path must be a string, got 5"),
+            ({"datasets": {"a": {"path": "c", "layout": 3}}}, "dataset 'a' layout must be a string, got 3"),
+            ({"model": {**TINY_MODEL, "pretrained_vectors": 5}}, "model pretrained_vectors must be a string, got 5"),
         ],
         ids=["string_seed", "fractional_seed", "bool_seed", "string_kfold", "fractional_kfold",
-             "one_fold", "negative_expected", "unknown_eval_key", "int_include_subject"],
+             "one_fold", "negative_expected", "unknown_eval_key", "int_include_subject",
+             "int_out", "int_data_path", "list_data_layout", "unknown_data_key",
+             "int_dataset_path", "int_dataset_layout", "int_pretrained_vectors"],
     )
     def test_bad_seed_or_eval_config_is_input_error(self, tmp_path, corpus_dir, capsys, overrides, message):
-        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        # the corpus and the output directory are set in the file, not by
+        # flags, which would override the bad values
         out = tmp_path / "run"
-        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out)])
+        settings = {"data": {"path": str(corpus_dir)}, "out": str(out), **overrides}
+        cfg = write_config(tmp_path / "cfg.json", **settings)
+        rc = main(["cross" if "datasets" in overrides else "train", "--config", str(cfg)])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()  # rejected before any work

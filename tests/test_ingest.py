@@ -190,6 +190,18 @@ class TestLoadCorpus:
         _write(tmp_path / "full" / "index", "ham ../data/inmail.1\nspam ../data/inmail.2\n")
         assert load_corpus(tmp_path, "trec").counts() == (2, 1, 1)
 
+    @pytest.mark.parametrize(
+        "bad_line", ["phish ../data/inmail.2", "spam ../data/inmail.2 extra", "spam"],
+        ids=["unknown_label", "three_fields", "one_field"],
+    )
+    def test_trec_index_line_must_be_spam_or_ham_path(self, tmp_path, bad_line):
+        _write(tmp_path / "data" / "inmail.1", "Subject: a\n\nham text")
+        _write(tmp_path / "data" / "inmail.2", "Subject: b\n\nspam text")
+        # a blank line is skipped; the bad one is line 3
+        _write(tmp_path / "full" / "index", f"ham ../data/inmail.1\n\n{bad_line}\n")
+        with pytest.raises(LayoutError, match=f"index:3: expected 'spam PATH' or 'ham PATH', got '{bad_line}'"):
+            load_corpus(tmp_path, "trec")
+
     @pytest.mark.skipif(
         not os.environ.get("HANSPAM_ENRON"),
         reason="set HANSPAM_ENRON to the merged Enron corpus root to run",

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -604,6 +606,32 @@ class TestForward:
         model.forward_batch(collate(encoded))
         assert rows == [6, 2]  # word level: 2 + 4 sentences; sentence level: 2 documents
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before Python 3.11 a caller keeps the arguments of a Python call alive until it returns",
+    )
+    @pytest.mark.parametrize("variant", ["none", "cnn", "tcn"])
+    def test_word_features_are_freed_before_word_attention(self, monkeypatch, variant):
+        import hanspam.model as hm
+
+        features, alive = [], []
+
+        def recording_encode(x, mask, w, b, u):
+            if w.name.startswith("word"):
+                features.append(weakref.ref(x.data))
+            return bigru_encode(x, mask, w, b, u)
+
+        def recording_pool(annotations, mask, w, b, context):
+            if w.name.startswith("word"):
+                alive.append(features[-1]() is not None)
+            return attention_pool(annotations, mask, w, b, context)
+
+        monkeypatch.setattr(hm, "bigru_encode", recording_encode)
+        monkeypatch.setattr(hm, "attention_pool", recording_pool)
+        model = small_model(variant)
+        model.forward_batch(collate([toy_document(model)]))
+        assert len(features) == 1 and alive == [False]
+
     def test_trace_maps_sentences_through_sent_rows(self):
         # sentences shortest first: collate puts them in the reverse rows
         model = small_model("cnn")
@@ -931,6 +959,11 @@ class TestConfig:
     def test_ngram_range(self, n_min, n_max):
         with pytest.raises(ConfigError, match="embed_n_min"):
             HanConfig(embed_n_min=n_min, embed_n_max=n_max)
+
+    def test_numpy_integer_is_config_error(self):
+        # JSON cannot show it, so the message falls back to its repr
+        with pytest.raises(ConfigError, match="model embed_dim must be an integer >= 1, got "):
+            HanConfig(embed_dim=np.int64(8))
 
     def test_tiny_model_table_hashes_as_its_config_states(self):
         model = tiny_model("none")
