@@ -410,14 +410,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ParameterError("concat needs at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
+    cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
     def rule(g):
-        return tuple(
-            np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
+        # views of g: no rule writes into its g, and backward copies into a leaf's own array
+        return tuple(np.split(g, cuts, axis=axis))
 
     return _record(parts, out, rule)
 

@@ -79,7 +79,11 @@ def _load_config_file(path: str | None) -> dict:
 # "" is the top level, "data" the corpus section and "dataset" one entry of
 # the datasets table; HanConfig checks the model section's other keys
 _KEYS = {
-    "": {"seed": (int, lambda v: True, "an integer"), "out": (str, lambda v: True, "a string")},
+    "": {
+        "seed": (int, lambda v: True, "an integer"),
+        "out": (str, lambda v: True, "a string"),
+        **dict.fromkeys(("model", "train", "data", "datasets", "eval"), (dict, lambda v: True, "a JSON object")),
+    },
     "model": {"pretrained_vectors": (str, lambda v: True, "a string")},
     "data": {
         **dict.fromkeys(("path", "layout"), (str, lambda v: True, "a string")),
@@ -117,10 +121,9 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
         "eval": {"kfold": 10, "expected_datasets": 5},
     }
     file_cfg = _load_config_file(getattr(args, "config", None))
+    check_section("", file_cfg, _KEYS[""])
     for key, value in file_cfg.items():
-        if isinstance(cfg.get(key), dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be a JSON object, got {json.dumps(value)}")
+        if isinstance(value, dict):
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -141,7 +144,6 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
             for part in target[:-1]:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
-    check_section("", {"seed": cfg["seed"], "out": cfg["out"]}, _KEYS[""])
     cfg["data"].setdefault("include_subject", False)
     for name in ("data", "train", "eval"):
         check_section(name, cfg[name], _KEYS[name])
@@ -390,7 +392,8 @@ def _matrix_records(path: Path) -> list[dict]:
         if not isinstance(rec, dict):
             raise ConfigError(f"{path}:{lineno}: record is not a JSON object")
         kinds = _AGGREGATE_FIELDS if "aggregate" in rec else _CELL_FIELDS
-        bad = [k for k, kind in kinds.items() if not isinstance(rec.get(k), kind)]
+        # bool is an int subclass, and no field takes one
+        bad = [k for k, kind in kinds.items() if isinstance(rec.get(k), bool) or not isinstance(rec.get(k), kind)]
         if bad:
             raise ConfigError(f"{path}:{lineno}: record lacks or mistypes {', '.join(bad)}")
         records.append(rec)

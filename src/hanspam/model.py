@@ -30,7 +30,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,8 @@ def check_section(name: str, section: dict, keys: dict) -> None:
     ``(type, valid value?, what a valid value is)``; ``name`` leads the message."""
     unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
+        where = f"{name} " if name else ""
+        raise ConfigError(f"unknown {where}config key(s): {', '.join(unknown)}")
     for key, value in section.items():
         kind, valid, want = keys[key]
         # bool is an int subclass: only the switches take one
@@ -100,6 +101,7 @@ class HanConfig:
     def __post_init__(self):
         # vars, not asdict: asdict deep-copies, and every checkpoint load builds a config
         check_section("model", vars(self), _MODEL_KEYS)
+        self.cnn_windows = tuple(self.cnn_windows)  # from JSON it arrives as a list
         if self.embed_n_min > self.embed_n_max:
             raise ConfigError(
                 f"model embed_n_max must be an integer >= embed_n_min ({self.embed_n_min}), "
@@ -119,37 +121,19 @@ class HanConfig:
             return self.tcn_channels
         return self.embed_dim
 
-    def to_dict(self) -> dict:
-        return dict(vars(self), cnn_windows=list(self.cnn_windows))
-
     @classmethod
     def from_dict(cls, d: dict) -> "HanConfig":
-        d = dict(d)
         unknown = sorted(set(d) - set(_MODEL_KEYS))
         if unknown:
             raise ConfigError(f"unknown model config key(s): {', '.join(unknown)}")
-        if isinstance(d.get("cnn_windows"), list):
-            d["cnn_windows"] = tuple(d["cnn_windows"])
         return cls(**d)
 
 
-@dataclass
-class Dropout:
-    """Per-forward dropout plan; (seed, step) plus a running site salt."""
-
-    p: float = 0.0
-    seed: int = 0
-    step: int = 0
-    _salt: int = 0
-
-    def apply(self, x: Tensor) -> Tensor:
-        if self.p == 0.0:
-            return x
-        self._salt += 1
-        return ad.dropout(x, self.p, seed=self.seed, step=self.step, salt=self._salt)
-
-
-NO_DROPOUT = Dropout()
+def dropout_plan(p: float, seed: int, step: int) -> Callable[[Tensor], Tensor]:
+    """One forward's dropout: each call is a new site, numbered from 1, whose
+    mask (seed, step, site) fixes; ``ad.dropout`` is the identity at ``p`` 0."""
+    sites = itertools.count(1)
+    return lambda x: ad.dropout(x, p, seed=seed, step=step, salt=next(sites))
 
 
 def _padding_bias(mask: np.ndarray | None, rows: int, steps: int) -> np.ndarray | None:
@@ -202,7 +186,7 @@ def conv_feature_stack(
     x: Tensor,
     params: dict[str, Tensor],
     windows: tuple[int, ...],
-    drop: Dropout = NO_DROPOUT,
+    drop: Callable[[Tensor], Tensor] = lambda x: x,
     mask: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-window same-padded convolutions over the token axis, ReLU, concat.
@@ -222,14 +206,14 @@ def conv_feature_stack(
     # without a tape, and with no reference left in the caller, this frees the
     # input before the concat doubles the output
     del x
-    return drop.apply(ad.concat(maps, axis=2) if len(maps) > 1 else maps[0])
+    return drop(ad.concat(maps, axis=2) if len(maps) > 1 else maps[0])
 
 
 def tcn_stack(
     x: Tensor,
     params: dict[str, Tensor],
     levels: int,
-    drop: Dropout = NO_DROPOUT,
+    drop: Callable[[Tensor], Tensor] = lambda x: x,
     mask: np.ndarray | None = None,
 ) -> Tensor:
     """Stacked causal dilated conv blocks (dilation doubling) with residuals.
@@ -242,7 +226,7 @@ def tcn_stack(
     """
     for lvl in range(levels):
         conv = ad.dilated_conv1d(x, params[f"tcn.block{lvl}.kernel"], d=2**lvl, mode="same", mask=mask)
-        y = drop.apply(ad.relu(ad.add(conv, params[f"tcn.block{lvl}.bias"])))
+        y = drop(ad.relu(ad.add(conv, params[f"tcn.block{lvl}.bias"])))
         del conv
         proj = params.get(f"tcn.block{lvl}.proj")
         x = ad.add(y, x if proj is None else ad.dilated_conv1d(x, proj, mask=mask))
@@ -413,7 +397,7 @@ class HanModel:
     def encode(self, docs) -> list[EncodedDocument]:
         docs = list(docs)
         # the n-grams of every token not seen before are hashed in one pass
-        self.table.cache_tokens(t for d in docs for s in d.sentences for t in s)
+        self.table.bucket_ids([t for d in docs for s in d.sentences for t in s])
         return [encode_document(d, self.vocab, self.table) for d in docs]
 
     # --- forward -------------------------------------------------------------
@@ -431,7 +415,7 @@ class HanModel:
         )
         return ad.take_rows(vectors, batch.tokens.T)
 
-    def _words(self, batch: Batch, drop: Dropout) -> Tensor:
+    def _words(self, batch: Batch, drop: Callable[[Tensor], Tensor]) -> Tensor:
         """Word features ``[T, rows, feature_dim]``: the embedding, through
         the variant's convolutional stack if it has one."""
         cfg = self.config
@@ -463,7 +447,7 @@ class HanModel:
         ``batch.tokens`` order (``batch.sent_rows`` maps sentences to rows);
         sentence attention ``alpha_s`` is ``[docs, S]``.
         """
-        drop = Dropout(p=self.config.dropout, seed=self.seed, step=step) if training else NO_DROPOUT
+        drop = dropout_plan(self.config.dropout if training else 0.0, self.seed, step)
         # as a temporary, the word features' only reference is the level's (from CPython 3.11)
         sent_vec, alpha_w = self._level("word", self._words(batch, drop), batch.tok_mask)
         # gather the sentence rows into one time-major [S, B, 2u] sequence;
@@ -515,7 +499,7 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
     header = {
         "format": "hanspam-checkpoint",
         "version": 4,
-        "config": model.config.to_dict(),
+        "config": vars(model.config),  # JSON writes cnn_windows, a tuple, as a list
         "seed": model.seed,
         "vocab": model.vocab.index_to_token[2:],
         "params": [

@@ -61,12 +61,10 @@ def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) ->
     size = np.array([len(m) for m in marked], dtype=np.intp)
     text = "".join(marked)
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    if data.size == len(text):
-        byte_at = np.arange(data.size + 1)
-    else:  # where each character's UTF-8 bytes begin
-        points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        width = 1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000)
-        byte_at = np.r_[0, np.cumsum(width)]
+    # where each character's UTF-8 bytes begin
+    points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    width = 1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000)
+    byte_at = np.r_[0, np.cumsum(width)]
     base = np.cumsum(size) - size  # first character of each marked token
 
     # n-grams grouped by n, each group in token order and then start order,
@@ -166,20 +164,14 @@ class EmbeddingTable:
         self.buckets = buckets
         self._gram_cache: dict[str, tuple[int, ...]] = {}
 
-    def bucket_ids(self, token: str) -> tuple[int, ...]:
-        if not token:
-            return ()
-        ids = self._gram_cache.get(token)
-        if ids is None:
-            self.cache_tokens([token])
-            ids = self._gram_cache[token]
-        return ids
-
-    def cache_tokens(self, tokens: Iterable[str]) -> None:
-        """Hash the n-grams of every token not cached yet, all in one pass."""
-        new = list(dict.fromkeys(t for t in tokens if t and t not in self._gram_cache))
+    def bucket_ids(self, tokens: Sequence[str]) -> list[tuple[int, ...]]:
+        """Each token's bucket ids, in order; the n-grams of the tokens not
+        cached yet are hashed together, in one pass."""
+        cache = self._gram_cache
+        new = list(dict.fromkeys(t for t in tokens if t not in cache))
         if new:
-            self._gram_cache.update(zip(new, gram_buckets(new, self.n_min, self.n_max, self.buckets)))
+            cache.update(zip(new, gram_buckets(new, self.n_min, self.n_max, self.buckets)))
+        return list(map(cache.__getitem__, tokens))
 
 
 def load_pretrained(path: str | Path, vocab: Vocabulary, word: Tensor) -> PretrainedReport:
@@ -259,6 +251,6 @@ def encode_document(doc: EmailDocument, vocab: Vocabulary, table: EmbeddingTable
     return EncodedDocument(
         label=doc.label,
         word_ids=[np.array([vocab.lookup(t) for t in s], dtype=np.intp) for s in sentences],
-        bucket_ids=[[table.bucket_ids(t) for t in s] for s in sentences],
+        bucket_ids=[table.bucket_ids(s) for s in sentences],
         doc_id=doc.doc_id,
     )

@@ -499,7 +499,7 @@ class TestCoalesceRows:
         model = tiny_model("none")
         table = model.table
         tokens = ["aaaaaaa", "aaaab", "baaaa", "aaaaaaa"]
-        owned = [table.bucket_ids(t) for t in tokens]
+        owned = table.bucket_ids(tokens)
         assert len(set(owned[0])) < len(owned[0])  # the token repeats a bucket itself
         assert set(owned[1]) & set(owned[2])  # and tokens share buckets
         bidx = np.concatenate(owned)

@@ -464,7 +464,7 @@ class TestExitCodes:
             ({"cnn_windows": []}, "model cnn_windows must be a non-empty list of integers >= 1, got []"),
             ({"cnn_windows": [0, 2]}, "model cnn_windows must be a non-empty list of integers >= 1, got [0, 2]"),
             ({"embed_n_min": 5, "embed_n_max": 3}, "model embed_n_max must be an integer >= embed_n_min (5), got 3"),
-            ([1, 2], "config section 'model' must be a JSON object, got [1, 2]"),
+            ([1, 2], "model must be a JSON object, got [1, 2]"),
             ({"embed_dim": "8"}, 'model embed_dim must be an integer >= 1, got "8"'),
             ({"s_max": "3"}, 'model s_max must be an integer >= 1, got "3"'),
             ({"t_max": 2.5}, "model t_max must be an integer >= 1, got 2.5"),
@@ -531,11 +531,13 @@ class TestExitCodes:
             ({"datasets": {"a": {"path": 5}}}, "dataset 'a' path must be a string, got 5"),
             ({"datasets": {"a": {"path": "c", "layout": 3}}}, "dataset 'a' layout must be a string, got 3"),
             ({"model": {**TINY_MODEL, "pretrained_vectors": 5}}, "model pretrained_vectors must be a string, got 5"),
+            ({"trian": {"epochs": 0}}, "unknown config key(s): trian"),
+            ({"sed": 4}, "unknown config key(s): sed"),
         ],
         ids=["string_seed", "fractional_seed", "bool_seed", "string_kfold", "fractional_kfold",
              "one_fold", "negative_expected", "unknown_eval_key", "int_include_subject",
              "int_out", "int_data_path", "list_data_layout", "unknown_data_key",
-             "int_dataset_path", "int_dataset_layout", "int_pretrained_vectors"],
+             "int_dataset_path", "int_dataset_layout", "int_pretrained_vectors", "trian", "sed"],
     )
     def test_bad_seed_or_eval_config_is_input_error(self, tmp_path, corpus_dir, capsys, overrides, message):
         # the corpus and the output directory are set in the file, not by
@@ -597,8 +599,12 @@ class TestReport:
             ('{"train_id": 3, "test_id": "b", "accuracy": null, "precision": 0.8, "recall": 0.7, '
              '"f1": 0.7, "auc": 0.5}', "record lacks or mistypes train_id, accuracy"),
             ("{not json", "not JSON"),
+            ('{"train_id": "a", "test_id": "b", "accuracy": true, "precision": 0.8, "recall": 0.7, '
+             '"f1": 0.7, "auc": false}', "record lacks or mistypes accuracy, auc"),
+            ('{"aggregate": "sd_avg", "mean": true, "stddev": 0.01}', "record lacks or mistypes mean"),
         ],
-        ids=["foreign_record", "not_object", "cell_without_auc", "aggregate_without_stddev", "mistyped", "not_json"],
+        ids=["foreign_record", "not_object", "cell_without_auc", "aggregate_without_stddev", "mistyped", "not_json",
+             "bool_metrics", "bool_mean"],
     )
     def test_malformed_record_is_input_error(self, tmp_path, capsys, bad, message):
         good = {"train_id": "a", "test_id": "a", "accuracy": 0.9, "precision": 0.8,

@@ -972,7 +972,7 @@ class TestConfig:
         assert model.params["embed.bucket"].shape == (cfg.embed_buckets, cfg.embed_dim)
         for token in ("alpha", "unseen"):
             grams = char_ngrams(token, cfg.embed_n_min, cfg.embed_n_max)
-            assert model.table.bucket_ids(token) == tuple(fnv1a64(g.encode()) % cfg.embed_buckets for g in grams)
+            assert model.table.bucket_ids([token]) == [tuple(fnv1a64(g.encode()) % cfg.embed_buckets for g in grams)]
 
     def test_feature_dims(self):
         assert HanConfig(variant="none", embed_dim=32).feature_dim == 32

@@ -29,8 +29,10 @@ def doc(*sentences, label=0):
 
 def compose(model, token):
     """``token``'s vector as the model composes it, through ``embedding_lookup``:
-    only in-vocabulary tokens add their word row."""
-    word, buckets = model.vocab.lookup(token), model.table.bucket_ids(token)
+    only in-vocabulary tokens add their word row. ``""`` stands for padding,
+    which, as ``collate``'s entry 0, has no buckets."""
+    word = model.vocab.lookup(token)
+    buckets = model.table.bucket_ids([token])[0] if token else ()
     p = model.params
     vec = ad.embedding_lookup(p["embed.word"], p["embed.bucket"], [word], [word > UNK], buckets, [0, len(buckets)])
     return vec.data[0]
@@ -105,11 +107,13 @@ class TestNgrams:
         assert [gram_buckets([t], n_min, n_max, buckets)[0] for t in tokens[-7:]] == want[-7:]
 
     def test_table_caches_what_it_hashes(self):
+        # an ASCII and a non-ASCII token in one call: one pass over both
         table = EmbeddingTable(n_min=3, n_max=4, buckets=11)
-        table.cache_tokens(["héllo", "ab", "", "ab"])
+        tokens = ["héllo", "ab", "ab"]
+        got = table.bucket_ids(tokens)
         assert set(table._gram_cache) == {"héllo", "ab"}
-        assert table.bucket_ids("héllo") == tuple(fnv1a64(g.encode()) % 11 for g in char_ngrams("héllo", 3, 4))
-        assert table.bucket_ids("") == ()
+        assert got == [tuple(fnv1a64(g.encode()) % 11 for g in char_ngrams(t, 3, 4)) for t in tokens]
+        assert table.bucket_ids(["héllo"]) == got[:1]
 
 
 @pytest.fixture
