@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,7 @@ from .ingest import (
     to_document,
 )
 from .model import VARIANTS, CheckpointError, ConfigError, HanConfig, HanModel, check_section
-from .training import TrainConfig, TrainingDiverged, train
+from .training import TRAIN_KEYS, TrainConfig, TrainingDiverged, train
 from .vocab import PretrainedFormatError, VocabError, build_vocab, load_pretrained
 
 EXIT_OK = 0
@@ -80,7 +78,7 @@ def _load_config_file(path: str | None) -> dict:
 # the datasets table; HanConfig checks the model section's other keys
 _KEYS = {
     "": {
-        "seed": (int, lambda v: True, "an integer"),
+        "seed": TRAIN_KEYS["seed"],
         "out": (str, lambda v: True, "a string"),
         **dict.fromkeys(("model", "train", "data", "datasets", "eval"), (dict, lambda v: True, "a JSON object")),
     },
@@ -90,14 +88,10 @@ _KEYS = {
         "include_subject": (bool, lambda v: True, "true or false"),
     },
     "dataset": dict.fromkeys(("path", "layout", "diagonal"), (str, lambda v: True, "a string")),
+    # TrainConfig's rows, less the run seed (set apart), and the CLI's own two
     "train": {
-        "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
-        "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
-        "patience": (int, lambda v: v >= 0, "an integer >= 0"),
+        **{k: row for k, row in TRAIN_KEYS.items() if k != "seed"},
         "min_count": (int, lambda v: v >= 1, "an integer >= 1"),
-        "class_weight": (bool, lambda v: True, "true or false"),
-        "lr": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
-        "clip_norm": ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0"),
         "val_fraction": ((int, float), lambda v: 0 <= v < 1, "a number in [0, 1)"),
     },
     "eval": {
@@ -233,16 +227,12 @@ def _stratified_holdout(labels: np.ndarray, frac: float, seed: int):
     return np.flatnonzero(~val), np.flatnonzero(val)
 
 
-# the train section keys that are TrainConfig fields; the run seed is set apart
-_TRAIN_SETTINGS = {f.name for f in fields(TrainConfig)} - {"seed"}
-
-
 def _train_on_documents(
     cfg: dict, config: HanConfig, documents, val_documents, seed: int
 ) -> tuple[HanModel, object]:
     vocab = build_vocab(documents, min_count=cfg["train"].get("min_count", 2))
     model = _build_model(cfg, config, vocab, seed)
-    settings = {k: v for k, v in cfg["train"].items() if k in _TRAIN_SETTINGS}
+    settings = {k: v for k, v in cfg["train"].items() if k in TRAIN_KEYS}
     train_cfg = TrainConfig(seed=seed, **settings)
     encoded_train = model.encode(documents)
     encoded_val = model.encode(val_documents)

@@ -20,6 +20,7 @@ from .model import (
     attention_pool,
     collate,
     conv_feature_stack,
+    param_shapes,
     tcn_stack,
 )
 from .training import cross_entropy
@@ -247,34 +248,32 @@ def check_attention_pool() -> float:
     return check_scalar_fn(build, [x, w, b, u])
 
 
+def _stack_params(rng: np.random.Generator, prefix: str, **fields) -> dict[str, Tensor]:
+    """``param_shapes``' ``prefix`` tensors for a config of ``fields``, drawn
+    whole in that order; a CNN kernel from its last entry, as ``init_params`` does."""
+    params = {}
+    for name, shape in param_shapes(HanConfig(**fields), n_words=2).items():
+        if name.startswith(prefix):
+            a = rng.uniform(-1.0, 1.0, shape)
+            if name.startswith("cnn.") and name.endswith(".kernel"):
+                a = np.flip(a, 0).copy()
+            params[name] = Tensor(a, requires_grad=True)
+    return params
+
+
 def check_conv_stack() -> float:
     rng = _rng(10)
-    windows = (1, 3)
-    maps = 2
     x = _param(rng, 5, 2, 3)
-    params = {}
-    for w in windows:
-        taps = [rng.uniform(-1.0, 1.0, (3, maps)) for _ in range(w)]
-        params[f"cnn.w{w}.kernel"] = Tensor(np.stack(taps[::-1]), requires_grad=True)
-        params[f"cnn.w{w}.bias"] = _param(rng, maps)
-
-    build = lambda: _weighted(conv_feature_stack(x, params, windows), _rng(101))
+    params = _stack_params(rng, "cnn.", variant="cnn", embed_dim=3, cnn_windows=(1, 3), cnn_maps=2)
+    build = lambda: _weighted(conv_feature_stack(x, params, (1, 3)), _rng(101))
     return check_scalar_fn(build, [x] + list(params.values()))
 
 
 def check_tcn_stack() -> float:
     rng = _rng(11)
-    levels, kernel, channels, in_dim = 2, 2, 3, 3
-    x = _param(rng, 6, 2, in_dim)
-    params = {}
-    for lvl in range(levels):
-        cin = in_dim if lvl == 0 else channels
-        params[f"tcn.block{lvl}.kernel"] = _param(rng, kernel, cin, channels)
-        params[f"tcn.block{lvl}.bias"] = _param(rng, channels)
-        if cin != channels:
-            params[f"tcn.block{lvl}.proj"] = _param(rng, 1, cin, channels)
-
-    build = lambda: _weighted(tcn_stack(x, params, levels), _rng(111))
+    x = _param(rng, 6, 2, 3)
+    params = _stack_params(rng, "tcn.", variant="tcn", embed_dim=3, tcn_levels=2, tcn_kernel=2, tcn_channels=3)
+    build = lambda: _weighted(tcn_stack(x, params, levels=2), _rng(111))
     return check_scalar_fn(build, [x] + list(params.values()))
 
 

@@ -309,75 +309,63 @@ class AttentionTrace:
     sentence_weights: np.ndarray
 
 
-def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, Tensor]:
-    """All trainable tensors keyed by name, in a fixed construction order.
-
-    ``embed.word`` is ``[n_words, embed]``, one row per vocabulary index,
-    and ``embed.bucket`` ``[buckets, embed]``. Each weight has the shape its
-    op reads: ``cnn.w{w}.kernel`` is ``[w, embed, maps]`` and
+def param_shapes(config: HanConfig, n_words: int) -> dict[str, tuple[int, ...]]:
+    """Every trainable tensor's name and shape, in construction and checkpoint
+    order. ``embed.word`` is ``[n_words, embed]``, one row per vocabulary
+    index, and ``embed.bucket`` ``[buckets, embed]``. Each weight has the
+    shape its op reads: ``cnn.w{w}.kernel`` is ``[w, embed, maps]`` and
     ``tcn.block{l}.kernel`` ``[k, cin, channels]`` (see the stacks),
     ``{level}_gru.w``, ``.b`` and ``.u`` are ``[2, in, 3u]``, ``[2, 3u]``
-    and ``[2, u, 3u]`` (see ``ad.bigru``). The two embedding tables are
-    drawn first, from a stream of their own, word rows then bucket rows;
-    the PAD and UNK word rows are zero (padding must stay exactly zero, and
-    an unknown token embeds through its n-gram buckets only). The other
-    random weights are drawn in C order, a CNN kernel one entry at a time
-    from its last, and a GRU's ``w`` and ``u`` one gate block at a time (per
-    direction and gate z, r, h: ``w`` then ``u``); biases start at zero.
-    Every array is C-contiguous.
+    and ``[2, u, 3u]`` (see ``ad.bigru``).
     """
-    scale = 0.05
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE18B])))
-    words = rng.uniform(-scale, scale, size=(n_words, config.embed_dim))
-    words[[PAD, UNK]] = 0.0
-    params: dict[str, Tensor] = {
-        "embed.word": Tensor(words, requires_grad=True, name="embed.word"),
-        "embed.bucket": Tensor(
-            rng.uniform(-scale, scale, size=(config.embed_buckets, config.embed_dim)),
-            requires_grad=True,
-            name="embed.bucket",
-        ),
-    }
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4A11])))
-
-    def zeros(name, *shape) -> np.ndarray:
-        params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
-        return params[name].data
-
-    def draw(out: np.ndarray) -> None:
-        out[...] = rng.uniform(-scale, scale, out.shape)
-
+    e, u, ch = config.embed_dim, config.gru_hidden, config.tcn_channels
+    shapes = {"embed.word": (n_words, e), "embed.bucket": (config.embed_buckets, e)}
     if config.variant == "cnn":
         for w in config.cnn_windows:
-            kernel = zeros(f"cnn.w{w}.kernel", w, config.embed_dim, config.cnn_maps)
-            for entry in kernel[::-1]:  # the last entry reads the earliest position
-                draw(entry)
-            zeros(f"cnn.w{w}.bias", config.cnn_maps)
+            shapes |= {f"cnn.w{w}.kernel": (w, e, config.cnn_maps), f"cnn.w{w}.bias": (config.cnn_maps,)}
     elif config.variant == "tcn":
         for lvl in range(config.tcn_levels):
-            cin = config.embed_dim if lvl == 0 else config.tcn_channels
-            draw(zeros(f"tcn.block{lvl}.kernel", config.tcn_kernel, cin, config.tcn_channels))
-            zeros(f"tcn.block{lvl}.bias", config.tcn_channels)
-            if cin != config.tcn_channels:
-                draw(zeros(f"tcn.block{lvl}.proj", 1, cin, config.tcn_channels))
+            cin = e if lvl == 0 else ch
+            shapes |= {f"tcn.block{lvl}.kernel": (config.tcn_kernel, cin, ch), f"tcn.block{lvl}.bias": (ch,)}
+            if cin != ch:
+                shapes[f"tcn.block{lvl}.proj"] = (1, cin, ch)
+    for level, in_dim in (("word", config.feature_dim), ("sent", 2 * u)):
+        shapes |= {
+            f"{level}_gru.w": (2, in_dim, 3 * u), f"{level}_gru.b": (2, 3 * u), f"{level}_gru.u": (2, u, 3 * u),
+            f"{level}_attn.w": (2 * u, 2 * u), f"{level}_attn.b": (2 * u,), f"{level}_attn.u": (2 * u,),
+        }
+    return shapes | {"head.w": (2 * u, 2), "head.b": (2,)}
+
+
+def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, Tensor]:
+    """``param_shapes``' tensors, drawn. The two embedding tables are drawn
+    first, from a stream of their own, word rows then bucket rows; the PAD
+    and UNK word rows are zero (padding must stay exactly zero, and an
+    unknown token embeds through its n-gram buckets only). The other random
+    weights are drawn in C order, a CNN kernel from its last entry, and a
+    GRU's ``w`` and ``u`` one gate block at a time (per direction and gate
+    z, r, h: ``w`` then ``u``); biases start at zero. Every array is
+    C-contiguous.
+    """
+    scale = 0.05
+    shapes = param_shapes(config, n_words)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE18B])))
+    arrays = {name: rng.uniform(-scale, scale, shapes[name]) for name in ("embed.word", "embed.bucket")}
+    arrays["embed.word"][[PAD, UNK]] = 0.0
+    arrays |= {name: np.zeros(shape) for name, shape in shapes.items() if name not in arrays}
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4A11])))
 
     u = config.gru_hidden
-    for level, in_dim in (("word", config.feature_dim), ("sent", 2 * u)):
-        w_all = zeros(f"{level}_gru.w", 2, in_dim, 3 * u)
-        zeros(f"{level}_gru.b", 2, 3 * u)
-        u_all = zeros(f"{level}_gru.u", 2, u, 3 * u)
-        for d in range(2):
-            for gate in range(3):
-                block = slice(gate * u, (gate + 1) * u)
-                draw(w_all[d, :, block])
-                draw(u_all[d, :, block])
-        draw(zeros(f"{level}_attn.w", 2 * u, 2 * u))
-        zeros(f"{level}_attn.b", 2 * u)
-        draw(zeros(f"{level}_attn.u", 2 * u))
-
-    draw(zeros("head.w", 2 * u, 2))
-    zeros("head.b", 2)
-    return params
+    views = []  # what to draw, in draw order
+    for name, a in arrays.items():
+        if name.endswith("_gru.w"):  # per direction and gate: the w block, then the u block
+            gru_u = arrays[name[:-1] + "u"]
+            views += [x[d, :, g * u : (g + 1) * u] for d in range(2) for g in range(3) for x in (a, gru_u)]
+        elif not (name.startswith("embed.") or name.endswith((".bias", ".b", "_gru.u"))):
+            views.append(a[::-1] if name.startswith("cnn.") else a)  # the last kernel entry reads the earliest position
+    for out in views:
+        out[...] = rng.uniform(-scale, scale, out.shape)
+    return {name: Tensor(a, requires_grad=True, name=name) for name, a in arrays.items()}
 
 
 class HanModel:
@@ -519,9 +507,10 @@ def save_checkpoint(path: str | Path, model: HanModel, extra: dict | None = None
 def load_checkpoint(path: str | Path) -> HanModel:
     """Read a checkpoint; ``CheckpointError`` if the bytes do not form one.
 
-    The header must be a version-4 hanspam checkpoint whose parameter list
-    (names, shapes and order) is exactly what ``init_params`` builds for its
-    config and vocabulary; this is checked before the payload is read.
+    The header must be a version-4 hanspam checkpoint whose vocabulary is a
+    list of strings and whose parameter list (names, shapes and order) is
+    exactly ``param_shapes`` of its config and vocabulary; this is checked
+    before any parameter is allocated or the payload is read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -560,16 +549,22 @@ def load_checkpoint(path: str | Path) -> HanModel:
             raise CheckpointError(f"{path} is truncated: payload has {payload} of {declared} bytes")
         if payload > declared:
             raise CheckpointError(f"{path} has {payload - declared} trailing bytes after the payload")
+        tokens, seed = header["vocab"], header["seed"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CheckpointError(f"{path} has a vocab that is not a list of strings")
+        if not isinstance(seed, int) or seed < 0:
+            raise CheckpointError(f"{path} has a seed that is not an integer >= 0: {seed!r}")
         try:
-            config = HanConfig.from_dict(header["config"])
-            model = HanModel(config, Vocabulary(header["vocab"]), seed=header["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
+            config, vocab = HanConfig.from_dict(header["config"]), Vocabulary(tokens)
+        except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad header: {type(exc).__name__}: {exc}") from None
-        built = [(name, t.shape) for name, t in model.params.items()]
+        # compared before anything is allocated: a damaged config allocates what it asks for
+        built = list(param_shapes(config, len(vocab)).items())
         if listed != built:
             spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"
             got, want = next((a, b) for a, b in itertools.zip_longest(listed, built) if a != b)
             raise CheckpointError(f"{path} lists {spec(got)} where its config builds {spec(want)}")
+        model = HanModel(config, vocab, seed=seed)
         for name, t in model.params.items():
             # straight from the file into the array the model holds: no second copy
             got = fh.readinto(memoryview(t.data).cast("B"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -11,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import roc_auc
-from .model import Batch, HanModel, collate
+from .model import Batch, HanModel, check_section, collate
 from .vocab import EncodedDocument
 
 
@@ -21,6 +22,18 @@ class TrainingDiverged(RuntimeError):
 
 class NonFiniteGradient(RuntimeError):
     pass
+
+
+# TrainConfig field: (type, valid value?, what a valid value is), as check_section reads them
+TRAIN_KEYS = {
+    "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
+    "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
+    "seed": (int, lambda v: True, "an integer"),
+    "patience": (int, lambda v: v >= 0, "an integer >= 0"),
+    "class_weight": (bool, lambda v: True, "true or false"),
+    "lr": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "clip_norm": ((int, float), lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+}
 
 
 @dataclass
@@ -34,10 +47,7 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        check_section("train", vars(self), TRAIN_KEYS)
 
 
 def cross_entropy(probs: Tensor, labels, weights: np.ndarray | None = None) -> Tensor:

@@ -70,7 +70,7 @@ def gram_buckets(tokens: Sequence[str], n_min: int, n_max: int, buckets: int) ->
     # n-grams grouped by n, each group in token order and then start order,
     # then the whole marked tokens that no n covers
     owner, lo, hi = [], [], []
-    for n in range(n_min, n_max + 1):
+    for n in range(n_min, min(n_max, size.max(initial=0)) + 1):  # no token has a longer gram
         count = np.maximum(size - n + 1, 0)
         tok = np.repeat(np.arange(len(marked)), count)
         start = base[tok] + np.arange(tok.size) - np.repeat(np.cumsum(count) - count, count)
@@ -166,7 +166,9 @@ class EmbeddingTable:
 
     def bucket_ids(self, tokens: Sequence[str]) -> list[tuple[int, ...]]:
         """Each token's bucket ids, in order; the n-grams of the tokens not
-        cached yet are hashed together, in one pass."""
+        cached yet are hashed together, in one pass. A ``str`` is refused."""
+        if isinstance(tokens, str):
+            raise TypeError(f"bucket_ids takes a list of tokens, got the string {tokens!r}")
         cache = self._gram_cache
         new = list(dict.fromkeys(t for t in tokens if t not in cache))
         if new:

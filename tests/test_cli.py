@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,17 @@ import pytest
 
 from hanspam import cli
 from hanspam.cli import EXIT_INPUT, EXIT_OK, main
+from hanspam.gradcheck import tiny_model
 from hanspam.model import HanConfig, HanModel, load_checkpoint
 from hanspam.synth import make_corpus, write_corpus_dir
 from hanspam.vocab import build_vocab
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 TINY_MODEL = {
@@ -380,7 +390,35 @@ def _with_header(edit, drop=None):
     return corrupt
 
 
+# runs the CLI under a 2 GiB address-space limit; argv: the src directory, then the CLI's arguments
+_MAIN_UNDER_2GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from hanspam.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 class TestExitCodes:
+    @pytest.mark.skipif(resource is None, reason="needs the resource module (POSIX)")
+    def test_config_is_checked_against_the_params_list_before_allocating(self, tmp_path, corpus_dir):
+        # a config asking for a 48 GB bucket table next to the tiny model's
+        # intact params list: refused from the header, before any tensor exists
+        path = tmp_path / "huge.bin"
+        tiny_model("cnn").save(path)
+        corrupt = _with_header(lambda h: {**h, "config": {**h["config"], "embed_buckets": 10**9}})
+        path.write_bytes(corrupt(path.read_bytes()))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_UNDER_2GIB, str(SRC), "eval", "--checkpoint", str(path),
+             "--data", str(corpus_dir)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_INPUT, proc.stderr[-2000:]
+        assert proc.stderr == (
+            f"error: {path} lists embed.bucket [17, 6] where its config builds embed.bucket [1000000000, 6]\n"
+        )
+
     def test_corrupt_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys):
         bad = tmp_path / "corrupt.bin"
         bad.write_bytes(b"HANCKPT\x01" + b"\x00" * 64)
@@ -437,11 +475,14 @@ class TestExitCodes:
                 _with_header(lambda h: {**h, "config": {**h["config"], "gru_hidden": 5}}),
                 "lists word_gru.w [2, 3, 12] where its config builds word_gru.w [2, 3, 15]",
             ),
+            (_with_header(lambda h: {**h, "vocab": [None, 5, *h["vocab"][2:]]}), "vocab that is not a list of strings"),
+            (_with_header(lambda h: {**h, "vocab": {"a": 1}}), "vocab that is not a list of strings"),
+            (_with_header(lambda h: {**h, "seed": -1}), "seed that is not an integer >= 0: -1"),
         ],
         ids=[
             "cut_header", "huge_header_length", "cut_payload", "bad_magic", "trailing_junk", "no_vocab",
             "list_header", "no_head_w", "version_99", "version_1", "version_2", "version_3", "other_format",
-            "config_over_other_shapes",
+            "config_over_other_shapes", "non_string_vocab", "object_vocab", "negative_seed",
         ],
     )
     def test_damaged_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys, corrupt, message):

@@ -18,7 +18,9 @@ from hanspam.model import (
     bigru_encode,
     collate,
     conv_feature_stack,
+    init_params,
     load_checkpoint,
+    param_shapes,
     tcn_stack,
 )
 from hanspam.training import cross_entropy
@@ -821,6 +823,14 @@ class TestParameterLayout:
         reached = {id(t) for e in tape.entries for t in e.inputs if t.requires_grad and id(t) not in outputs}
         assert reached == {id(t) for _, t in model.trainable()}
         assert len(reached) == leaves
+
+    @pytest.mark.parametrize("variant", ["cnn", "tcn", "none"])
+    def test_params_are_built_as_param_shapes_states(self, variant):
+        # a tcn whose first block changes the channel count, so it has a proj
+        config = HanConfig(variant=variant, embed_dim=8, gru_hidden=3, cnn_maps=2, tcn_channels=4, embed_buckets=50)
+        params = init_params(config, 9, seed=1)
+        assert [(name, t.shape) for name, t in params.items()] == list(param_shapes(config, 9).items())
+        assert ("tcn.block0.proj" in params) == (variant == "tcn")
 
     @pytest.mark.parametrize(
         "variant, digest",

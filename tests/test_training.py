@@ -8,7 +8,7 @@ from hanspam import training
 from hanspam.autodiff import Tape, Tensor
 from hanspam.cli import EXIT_OK, main
 from hanspam.ingest import EmailDocument
-from hanspam.model import collate
+from hanspam.model import ConfigError, collate
 from hanspam.synth import make_corpus, write_corpus_dir
 from hanspam.training import (
     Adam,
@@ -67,6 +67,28 @@ class TestCrossEntropy:
         # d(-log softmax_1)/dlogits = p - onehot
         p = probs.data[0]
         assert np.allclose(logits.grad[0], p - np.array([0.0, 1.0]), atol=1e-12)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lr", -1.0, "train lr must be a finite number > 0, got -1.0"),
+            ("clip_norm", float("nan"), "train clip_norm must be a finite number >= 0, got NaN"),
+            ("batch_size", True, "train batch_size must be an integer >= 1, got true"),
+            ("patience", -2, "train patience must be an integer >= 0, got -2"),
+            ("epochs", 2.5, "train epochs must be an integer >= 0, got 2.5"),
+            # a numpy integer is not a JSON integer; how it prints depends on the numpy version
+            ("seed", np.int64(3), "train seed must be an integer, got "),
+            ("class_weight", 1, "train class_weight must be true or false, got 1"),
+        ],
+        ids=["negative_lr", "nan_clip_norm", "bool_batch_size", "negative_patience", "float_epochs",
+             "numpy_seed", "int_class_weight"],
+    )
+    def test_every_setting_is_checked(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value).startswith(message)
 
 
 class TestInverseFrequencyWeights:

@@ -93,11 +93,15 @@ class TestNgrams:
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
-    @pytest.mark.parametrize("n_min, n_max, buckets", [(3, 6, 100_000), (1, 1, 7), (3, 3, 13), (5, 9, 2**40)])
+    @pytest.mark.parametrize(
+        "n_min, n_max, buckets",
+        [(3, 6, 100_000), (1, 1, 7), (3, 3, 13), (5, 9, 2**40), (3, 1000, 97), (250, 300, 97)],
+    )
     def test_gram_buckets_hash_each_gram(self, n_min, n_max, buckets):
         # all tokens hashed in one pass give, per token, what hashing each of
         # its grams alone gives: lengths below, inside and above [n_min, n_max],
-        # and characters of one to four UTF-8 bytes
+        # and characters of one to four UTF-8 bytes; the last two ranges reach
+        # past the longest marked token (202 characters)
         rng = random.Random(3)
         letters = "abcxyz019./:<>é€😀"
         tokens = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 30))) for _ in range(300)]
@@ -105,6 +109,14 @@ class TestNgrams:
         want = [tuple(fnv1a64(g.encode("utf-8")) % buckets for g in char_ngrams(t, n_min, n_max)) for t in tokens]
         assert gram_buckets(tokens, n_min, n_max, buckets) == want
         assert [gram_buckets([t], n_min, n_max, buckets)[0] for t in tokens[-7:]] == want[-7:]
+
+    def test_n_max_past_every_token_costs_nothing(self):
+        # no gram is longer than its token: a range to 10**7 hashes what one to 7 does, at once
+        assert gram_buckets(["hello", "é"], 3, 10**7, 100) == gram_buckets(["hello", "é"], 3, 7, 100)
+
+    def test_table_refuses_a_bare_string(self):
+        with pytest.raises(TypeError, match="list of tokens"):
+            EmbeddingTable(n_min=3, n_max=4, buckets=11).bucket_ids("zzz")
 
     def test_table_caches_what_it_hashes(self):
         # an ASCII and a non-ASCII token in one call: one pass over both
