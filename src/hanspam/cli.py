@@ -139,6 +139,7 @@ def _merge_config(args: argparse.Namespace) -> tuple[dict, HanConfig]:
                 node = node.setdefault(part, {})
             node[target[-1]] = value
     cfg["data"].setdefault("include_subject", False)
+    check_section("", {"seed": cfg["seed"]}, _KEYS[""])  # --seed may have replaced the file's
     for name in ("data", "train", "eval"):
         check_section(name, cfg[name], _KEYS[name])
     for name in sorted(cfg["datasets"]):

@@ -74,8 +74,10 @@ _MODEL_KEYS = {
     "variant": (str, lambda v: v in VARIANTS, f"one of {json.dumps(VARIANTS)}"),
     "cnn_windows": (
         (list, tuple),
-        lambda v: len(v) > 0 and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in v),
-        "a non-empty list of integers >= 1",
+        lambda v: len(v) > 0
+        and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in v)
+        and len(set(v)) == len(v),  # each window names its own cnn.w{w} tensors
+        "a non-empty list of distinct integers >= 1",
     ),
     "dropout": ((int, float), lambda v: 0 <= v < 1, "a number in [0, 1)"),
 }
@@ -337,8 +339,15 @@ def param_shapes(config: HanConfig, n_words: int) -> dict[str, tuple[int, ...]]:
     return shapes | {"head.w": (2 * u, 2), "head.b": (2,)}
 
 
-def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, Tensor]:
-    """``param_shapes``' tensors, drawn. The two embedding tables are drawn
+def _first_difference(got: Sequence[tuple[str, tuple]], want: dict[str, tuple]) -> tuple[str, str] | None:
+    """Where a ``(name, shape)`` list first differs from a layout, as text for
+    each side ("nothing" past an end); None where they agree."""
+    spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"
+    return next(((spec(a), spec(b)) for a, b in itertools.zip_longest(got, want.items()) if a != b), None)
+
+
+def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """``param_shapes``' arrays, drawn. The two embedding tables are drawn
     first, from a stream of their own, word rows then bucket rows; the PAD
     and UNK word rows are zero (padding must stay exactly zero, and an
     unknown token embeds through its n-gram buckets only). The other random
@@ -365,19 +374,39 @@ def init_params(config: HanConfig, n_words: int, seed: int = 0) -> dict[str, Ten
             views.append(a[::-1] if name.startswith("cnn.") else a)  # the last kernel entry reads the earliest position
     for out in views:
         out[...] = rng.uniform(-scale, scale, out.shape)
-    return {name: Tensor(a, requires_grad=True, name=name) for name, a in arrays.items()}
+    return arrays
 
 
 class HanModel:
     """Config + vocabulary + token hasher + named parameters. The hasher's
-    n-gram range and bucket count are the config's ``embed_*`` fields."""
+    n-gram range and bucket count are the config's ``embed_*`` fields.
 
-    def __init__(self, config: HanConfig, vocab: Vocabulary, seed: int = 0):
+    The parameters are ``arrays`` when given, else ``init_params`` draws them
+    from ``seed``. Given arrays must be ``param_shapes``' names and shapes, in
+    its order, each a C-contiguous float64 array; the model holds them as they
+    are, without a copy, and a mismatch is a ``ValueError``.
+    """
+
+    def __init__(
+        self, config: HanConfig, vocab: Vocabulary, seed: int = 0, arrays: dict[str, np.ndarray] | None = None
+    ):
         self.config = config
         self.vocab = vocab
         self.table = EmbeddingTable(config.embed_n_min, config.embed_n_max, config.embed_buckets)
         self.seed = seed
-        self.params = init_params(config, len(vocab), seed=seed)
+        if arrays is None:
+            arrays = init_params(config, len(vocab), seed=seed)
+        else:
+            # shapes and flags only: no pass over the data
+            given = [(k, np.shape(a)) for k, a in arrays.items()]
+            diff = _first_difference(given, param_shapes(config, len(vocab)))
+            if diff:
+                raise ValueError(f"arrays hold {diff[0]} where the config builds {diff[1]}")
+            odd = [k for k, a in arrays.items()
+                   if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous)]
+            if odd:
+                raise ValueError(f"arrays {', '.join(odd)} are not C-contiguous float64 arrays")
+        self.params = {name: Tensor(a, requires_grad=True, name=name) for name, a in arrays.items()}
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(k, t) for k, t in self.params.items() if t.requires_grad]
@@ -510,7 +539,10 @@ def load_checkpoint(path: str | Path) -> HanModel:
     The header must be a version-4 hanspam checkpoint whose vocabulary is a
     list of strings and whose parameter list (names, shapes and order) is
     exactly ``param_shapes`` of its config and vocabulary; this is checked
-    before any parameter is allocated or the payload is read.
+    before any parameter is allocated or the payload is read. The load then
+    allocates each tensor from that checked layout, uninitialized, reads it
+    from the file, and only then builds the model from those arrays; nothing
+    is drawn, and a file cut short builds no model.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -559,15 +591,14 @@ def load_checkpoint(path: str | Path) -> HanModel:
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad header: {type(exc).__name__}: {exc}") from None
         # compared before anything is allocated: a damaged config allocates what it asks for
-        built = list(param_shapes(config, len(vocab)).items())
-        if listed != built:
-            spec = lambda p: "nothing" if p is None else f"{p[0]} {list(p[1])}"
-            got, want = next((a, b) for a, b in itertools.zip_longest(listed, built) if a != b)
-            raise CheckpointError(f"{path} lists {spec(got)} where its config builds {spec(want)}")
-        model = HanModel(config, vocab, seed=seed)
-        for name, t in model.params.items():
-            # straight from the file into the array the model holds: no second copy
-            got = fh.readinto(memoryview(t.data).cast("B"))
-            if got != t.data.nbytes:
-                raise CheckpointError(f"{path} is truncated: {name} has {got} of {t.data.nbytes} bytes")
-    return model
+        built = param_shapes(config, len(vocab))
+        diff = _first_difference(listed, built)
+        if diff:
+            raise CheckpointError(f"{path} lists {diff[0]} where its config builds {diff[1]}")
+        arrays = {name: np.empty(shape) for name, shape in built.items()}
+        for name, a in arrays.items():
+            # straight from the file into the array the model will hold: no draw, no second copy
+            got = fh.readinto(memoryview(a).cast("B"))
+            if got != a.nbytes:
+                raise CheckpointError(f"{path} is truncated: {name} has {got} of {a.nbytes} bytes")
+    return HanModel(config, vocab, seed=seed, arrays=arrays)

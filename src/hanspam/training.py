@@ -28,7 +28,7 @@ class NonFiniteGradient(RuntimeError):
 TRAIN_KEYS = {
     "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
     "epochs": (int, lambda v: v >= 0, "an integer >= 0"),
-    "seed": (int, lambda v: True, "an integer"),
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),  # SeedSequence refuses a negative seed
     "patience": (int, lambda v: v >= 0, "an integer >= 0"),
     "class_weight": (bool, lambda v: True, "true or false"),
     "lr": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),

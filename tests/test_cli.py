@@ -478,11 +478,15 @@ class TestExitCodes:
             (_with_header(lambda h: {**h, "vocab": [None, 5, *h["vocab"][2:]]}), "vocab that is not a list of strings"),
             (_with_header(lambda h: {**h, "vocab": {"a": 1}}), "vocab that is not a list of strings"),
             (_with_header(lambda h: {**h, "seed": -1}), "seed that is not an integer >= 0: -1"),
+            (
+                _with_header(lambda h: {**h, "config": {**h["config"], "cnn_windows": [2, 2]}}),
+                "bad header: ConfigError: model cnn_windows must be a non-empty list of distinct integers >= 1",
+            ),
         ],
         ids=[
             "cut_header", "huge_header_length", "cut_payload", "bad_magic", "trailing_junk", "no_vocab",
             "list_header", "no_head_w", "version_99", "version_1", "version_2", "version_3", "other_format",
-            "config_over_other_shapes", "non_string_vocab", "object_vocab", "negative_seed",
+            "config_over_other_shapes", "non_string_vocab", "object_vocab", "negative_seed", "repeated_window",
         ],
     )
     def test_damaged_checkpoint_is_input_error(self, tmp_path, corpus_dir, capsys, corrupt, message):
@@ -502,8 +506,8 @@ class TestExitCodes:
         "model, message",
         [
             ({"bogus": 1}, "unknown model config key(s): bogus"),
-            ({"cnn_windows": []}, "model cnn_windows must be a non-empty list of integers >= 1, got []"),
-            ({"cnn_windows": [0, 2]}, "model cnn_windows must be a non-empty list of integers >= 1, got [0, 2]"),
+            ({"cnn_windows": []}, "model cnn_windows must be a non-empty list of distinct integers >= 1, got []"),
+            ({"cnn_windows": [0, 2]}, "model cnn_windows must be a non-empty list of distinct integers >= 1, got [0, 2]"),
             ({"embed_n_min": 5, "embed_n_max": 3}, "model embed_n_max must be an integer >= embed_n_min (5), got 3"),
             ([1, 2], "model must be a JSON object, got [1, 2]"),
             ({"embed_dim": "8"}, 'model embed_dim must be an integer >= 1, got "8"'),
@@ -512,13 +516,15 @@ class TestExitCodes:
             ({"dropout": "0.1"}, 'model dropout must be a number in [0, 1), got "0.1"'),
             ({"s_max": 0}, "model s_max must be an integer >= 1, got 0"),
             ({"gru_hidden": True}, "model gru_hidden must be an integer >= 1, got true"),
-            ({"cnn_windows": 3}, "model cnn_windows must be a non-empty list of integers >= 1, got 3"),
-            ({"cnn_windows": [2, 2.5]}, "model cnn_windows must be a non-empty list of integers >= 1, got [2, 2.5]"),
+            ({"cnn_windows": 3}, "model cnn_windows must be a non-empty list of distinct integers >= 1, got 3"),
+            ({"cnn_windows": [2, 2.5]}, "model cnn_windows must be a non-empty list of distinct integers >= 1, got [2, 2.5]"),
+            # both windows would read the one cnn.w2.kernel
+            ({"cnn_windows": [2, 2]}, "model cnn_windows must be a non-empty list of distinct integers >= 1, got [2, 2]"),
             ({"n_classes": 2}, "unknown model config key(s): n_classes"),
         ],
         ids=["unknown_key", "no_windows", "zero_window", "ngram_range", "model_not_object",
              "string_dim", "string_s_max", "float_t_max", "string_dropout", "zero_s_max",
-             "bool_hidden", "int_windows", "float_window", "n_classes"],
+             "bool_hidden", "int_windows", "float_window", "repeated_window", "n_classes"],
     )
     def test_bad_model_config_is_input_error(self, tmp_path, corpus_dir, capsys, model, message):
         section = {**TINY_MODEL, **model} if isinstance(model, dict) else model
@@ -556,9 +562,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"seed": "abc"}, 'seed must be an integer, got "abc"'),
-            ({"seed": 1.7}, "seed must be an integer, got 1.7"),
-            ({"seed": True}, "seed must be an integer, got true"),
+            ({"seed": "abc"}, 'seed must be an integer >= 0, got "abc"'),
+            ({"seed": 1.7}, "seed must be an integer >= 0, got 1.7"),
+            ({"seed": True}, "seed must be an integer >= 0, got true"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
             ({"eval": {"kfold": "ten"}}, 'eval kfold must be an integer >= 2, got "ten"'),
             ({"eval": {"kfold": 2.9}}, "eval kfold must be an integer >= 2, got 2.9"),
             ({"eval": {"kfold": 1}}, "eval kfold must be an integer >= 2, got 1"),
@@ -575,7 +582,7 @@ class TestExitCodes:
             ({"trian": {"epochs": 0}}, "unknown config key(s): trian"),
             ({"sed": 4}, "unknown config key(s): sed"),
         ],
-        ids=["string_seed", "fractional_seed", "bool_seed", "string_kfold", "fractional_kfold",
+        ids=["string_seed", "fractional_seed", "bool_seed", "negative_seed", "string_kfold", "fractional_kfold",
              "one_fold", "negative_expected", "unknown_eval_key", "int_include_subject",
              "int_out", "int_data_path", "list_data_layout", "unknown_data_key",
              "int_dataset_path", "int_dataset_layout", "int_pretrained_vectors", "trian", "sed"],
@@ -590,6 +597,15 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()  # rejected before any work
+
+    def test_negative_seed_flag_is_input_error(self, tmp_path, corpus_dir, capsys):
+        # SeedSequence refuses a negative seed: the flag is refused before --out is made
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json")
+        rc = main(["train", "--config", str(cfg), "--data", str(corpus_dir), "--out", str(out), "--seed", "-1"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
 
     def test_config_file_not_utf8_is_input_error(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "cfg.json"

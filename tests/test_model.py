@@ -1,16 +1,20 @@
 import hashlib
+import re
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hanspam import autodiff as ad
+from hanspam import model as hm
 from hanspam.autodiff import Tensor
 from hanspam.gradcheck import check_scalar_fn, tiny_model, toy_document
 from hanspam.ingest import EmailDocument
 from hanspam.model import (
     Batch,
+    CheckpointError,
     ConfigError,
     HanConfig,
     HanModel,
@@ -965,6 +969,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match="cnn_windows"):
                 HanConfig(variant=variant, cnn_windows=windows)
 
+    def test_windows_must_be_distinct(self):
+        # two windows of one size would both read cnn.w2.kernel, while feature_dim counts both
+        with pytest.raises(ConfigError, match=r"distinct integers >= 1, got \[2, 3, 2\]"):
+            HanConfig(variant="cnn", cnn_windows=(2, 3, 2))
+
     @pytest.mark.parametrize("n_min, n_max", [(0, 3), (5, 3)])
     def test_ngram_range(self, n_min, n_max):
         with pytest.raises(ConfigError, match="embed_n_min"):
@@ -1027,3 +1036,79 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+
+class TestLoadDrawsNothing:
+    """A checkpoint's tensors are read into fresh arrays that the model then holds."""
+
+    @pytest.mark.parametrize("variant", ["cnn", "tcn", "none"])
+    def test_load_draws_nothing_and_saves_back_identically(self, tmp_path, monkeypatch, variant):
+        model = small_model(variant, seed=4)
+        path, again = tmp_path / "a.bin", tmp_path / "b.bin"
+        model.save(path, extra={"note": 1})
+        with monkeypatch.context() as m:
+            m.setattr(hm, "init_params", lambda *a, **k: pytest.fail("init_params ran during a load"))
+            back = load_checkpoint(path)
+        back.save(again, extra={"note": 1})
+        assert again.read_bytes() == path.read_bytes()
+        other = EmailDocument(label=0, sentences=[["beta", "unseen"]])
+        docs = [toy_document(model), encode_document(other, model.vocab, model.table)]
+        assert back.score(docs).tobytes() == model.score(docs).tobytes()
+
+    def test_loaded_parameters_are_fresh_trainable_leaves(self, tmp_path):
+        path = tmp_path / "a.bin"
+        small_model("tcn", seed=2).save(path)
+        for name, t in load_checkpoint(path).params.items():
+            assert t.data.dtype == np.float64 and t.data.flags.c_contiguous, name
+            assert t.data.flags.owndata and t.data.flags.writeable, name
+            assert t.requires_grad and t.grad is None and t.name == name
+
+    def test_given_arrays_are_held_without_a_copy(self):
+        model = small_model("cnn", seed=1)
+        arrays = {k: t.data.copy() for k, t in model.params.items()}
+        back = HanModel(model.config, model.vocab, seed=1, arrays=arrays)
+        assert all(back.params[k].data is a for k, a in arrays.items())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.pop("head.b"), "arrays hold nothing where the config builds head.b [2]"),
+            (lambda a: a.update({"extra": np.zeros(2)}), "arrays hold extra [2] where the config builds nothing"),
+            (lambda a: a.pop("sent_attn.u"), "arrays hold head.w [6, 2] where the config builds sent_attn.u [6]"),
+            (
+                lambda a: a.update({"head.w": np.zeros((2, 6))}),
+                "arrays hold head.w [2, 6] where the config builds head.w [6, 2]",
+            ),
+            (lambda a: a.update({"head.b": np.zeros(2, np.float32)}), "arrays head.b are not C-contiguous float64"),
+            (lambda a: a.update({"head.b": [0.0, 0.0]}), "arrays head.b are not C-contiguous float64"),
+            (lambda a: a.update({"head.w": np.zeros((2, 6)).T}), "arrays head.w are not C-contiguous float64"),
+        ],
+        ids=["missing", "extra", "missing_inside", "wrong_shape", "float32", "list", "fortran_order"],
+    )
+    def test_arrays_off_the_layout_are_refused(self, edit, message):
+        model = small_model("none")
+        arrays = {k: t.data.copy() for k, t in model.params.items()}
+        edit(arrays)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HanModel(model.config, model.vocab, arrays=arrays)
+
+    @pytest.mark.parametrize("size_check_passes", [False, True], ids=["file_cut", "file_shrinks_while_read"])
+    def test_payload_cut_inside_a_tensor_builds_no_model(self, tmp_path, monkeypatch, size_check_passes):
+        model = small_model("cnn", seed=3)
+        path = tmp_path / "a.bin"
+        model.save(path)
+        raw = path.read_bytes()
+        head_w, head_b = (model.params[k].data.nbytes for k in ("head.w", "head.b"))
+        declared = sum(t.data.nbytes for t in model.params.values())
+        path.write_bytes(raw[: len(raw) - head_w - head_b + 8])  # 8 bytes into head.w, the last tensor but one
+        built = []
+        monkeypatch.setattr(HanModel, "__init__", lambda self, *a, **k: built.append(a))
+        if size_check_passes:  # fstat reports the whole file, so the cut shows only as a short read
+            message = f"head.w has 8 of {head_w} bytes"
+            monkeypatch.setattr(hm.os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+        else:
+            message = f"payload has {declared - head_w - head_b + 8} of {declared} bytes"
+        with pytest.raises(CheckpointError, match=f"truncated: {message}"):
+            load_checkpoint(path)
+        monkeypatch.undo()
+        assert built == []

@@ -79,11 +79,12 @@ class TestTrainConfig:
             ("patience", -2, "train patience must be an integer >= 0, got -2"),
             ("epochs", 2.5, "train epochs must be an integer >= 0, got 2.5"),
             # a numpy integer is not a JSON integer; how it prints depends on the numpy version
-            ("seed", np.int64(3), "train seed must be an integer, got "),
+            ("seed", np.int64(3), "train seed must be an integer >= 0, got "),
+            ("seed", -1, "train seed must be an integer >= 0, got -1"),
             ("class_weight", 1, "train class_weight must be true or false, got 1"),
         ],
         ids=["negative_lr", "nan_clip_norm", "bool_batch_size", "negative_patience", "float_epochs",
-             "numpy_seed", "int_class_weight"],
+             "numpy_seed", "negative_seed", "int_class_weight"],
     )
     def test_every_setting_is_checked(self, field, value, message):
         with pytest.raises(ConfigError) as info:
