@@ -151,7 +151,9 @@ def coalesce_rows(idx, val: Array, shape: tuple[int, ...], src: Array | None = N
     without ``src``, to row ``idx[j]``. A stable sort lists each id's
     occurrences in their original order, and pass ``k`` adds the ``k``-th
     occurrence of every id that has one, so each row is summed in occurrence
-    order starting from 0.0.
+    order starting from 0.0. The ids that occur more than once are taken
+    out once, most occurrences first, so the rows a later pass adds to are a
+    prefix that it reads and writes as one slice, and are put back at the end.
     """
     idx = np.asarray(idx, dtype=np.intp).ravel()
     val = val.reshape(-1, *shape[1:])
@@ -163,9 +165,15 @@ def coalesce_rows(idx, val: Array, shape: tuple[int, ...], src: Array | None = N
         order = src[order]
     out = val[order[first]]
     out += 0.0  # pass 0 adds to 0.0 as add.at does, which turns a lone -0.0 into +0.0
-    for k in range(1, counts.max(initial=0)):
-        has = np.flatnonzero(counts > k)
-        out[has] += val[order[first[has] + k]]
+    by = np.argsort(-counts, kind="stable")
+    # per pass k, how many ids (a prefix of ``by``) own a k-th occurrence
+    owners = np.searchsorted(-counts[by], -np.arange(counts.max(initial=0)), side="left")
+    if owners.size > 1:  # some id occurs more than once
+        many = by[: owners[1]]
+        summed, firsts = out[many], first[many]
+        for k, m in enumerate(owners[1:], start=1):
+            summed[:m] += val[order[firsts[:m] + k]]
+        out[many] = summed
     return RowSet(ids[first], out, shape)
 
 

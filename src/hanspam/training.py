@@ -83,6 +83,17 @@ def inverse_frequency_weights(labels: np.ndarray) -> np.ndarray:
 
 # Adam's moment decays and denominator floor (Kingma and Ba, arXiv 1412.6980)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# elements per row block of Adam's sweep: 256 KB per float64 array, so a
+# block's moments, gradient and scratch stay in a core's L2 cache
+_BLOCK = 1 << 15
+
+
+def _blocks(a: np.ndarray):
+    """Yield the row bounds ``(lo, hi)`` of ``a`` in blocks of at most
+    ``_BLOCK`` elements, or of one row where a row is larger."""
+    n = max(1, _BLOCK // max(1, math.prod(a.shape[1:])))
+    for lo in range(0, len(a), n):
+        yield lo, min(lo + n, len(a))
 
 
 class Adam:
@@ -93,14 +104,15 @@ class Adam:
     ``m[name]`` and ``v[name]`` are ``[len(rows), ...]`` arrays aligned with
     those ids: a row gets zero moments when it is first seen, and the state
     grows with the rows seen, not with the table. Each step runs the dense
-    expressions in place over the seen rows, with two seen-row-sized scratch
-    arrays. This is exact: an unseen row has ``m = v = 0`` and a zero
-    gradient, so dense Adam would subtract exactly 0.0 from it, which leaves
-    every value, ``-0.0`` included, bitwise as it was. A row-set gradient
-    whose touched rows are the seen rows is read as it is; otherwise its
-    touched rows are copied onto the seen rows, zeros elsewhere. A dense
-    gradient is read as the row set of all its rows, and no gradient counts
-    as zero.
+    expressions in place over the seen rows, one block of ``_BLOCK``
+    elements at a time, with two block-sized scratch arrays: every element
+    is updated on its own, so the blocks change no value. This is exact: an
+    unseen row has ``m = v = 0`` and a zero gradient, so dense Adam would
+    subtract exactly 0.0 from it, which leaves every value, ``-0.0``
+    included, bitwise as it was. A row-set gradient whose rows are all
+    touched and are the seen rows is read as it is; otherwise each block
+    copies its touched rows onto zeros. A dense gradient is read as the row
+    set of all its rows, and no gradient counts as zero.
     """
 
     def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 0.001):
@@ -122,42 +134,53 @@ class Adam:
                 ids, val = np.arange(len(p.grad)), p.grad
             else:
                 ids, val = np.zeros(0, dtype=np.intp), np.zeros((0, *p.shape[1:]))
-            if not np.isfinite(val).all():
-                raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
-            grads.append((ids, val))
+            touched = np.empty(len(val), dtype=bool)
+            for lo, hi in _blocks(val):
+                if not np.isfinite(val[lo:hi]).all():
+                    raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
+                np.any(val[lo:hi], axis=tuple(range(1, val.ndim)), out=touched[lo:hi])
+            grads.append((ids, val, None if touched.all() else np.flatnonzero(touched)))
         self.step_count += 1
-        t = self.step_count
-        for (name, p), (ids, val) in zip(self.params, grads):
-            touched = val.any(axis=tuple(range(1, val.ndim)))
-            if not touched.all():
-                ids, val = ids[touched], val[touched]
+        c1, c2 = 1.0 - _BETA1**self.step_count, 1.0 - _BETA2**self.step_count
+        size = max([_BLOCK] + [math.prod(p.shape[1:]) for _, p in self.params])
+        step_buf, scratch_buf = np.empty(size), np.empty(size)
+        for (name, p), (ids, val, src) in zip(self.params, grads):
+            if src is not None:  # val[src[i]] is the gradient of row ids[i]
+                ids = ids[src]
             rows = self._see(name, ids)
+            # where val's rows go among the seen rows, unless it is row for row
+            pos = None if src is None and ids.size == rows.size else np.searchsorted(rows, ids)
             m, v = self.m[name], self.v[name]
-            if ids.size == rows.size:  # the touched rows are the seen rows
-                g, scratch = val, np.empty_like(m)
-            else:
-                g = scratch = np.zeros_like(m)
-                g[np.searchsorted(rows, ids)] = val
-            step = np.empty_like(m)
-            m *= _BETA1
-            m += np.multiply(g, 1.0 - _BETA1, out=step)
-            v *= _BETA2
-            np.multiply(g, 1.0 - _BETA2, out=step)
-            step *= g
-            v += step
-            # lr * m_hat / (sqrt(v_hat) + eps); g is not read again
-            np.divide(m, 1.0 - _BETA1**t, out=step)
-            step *= self.lr
-            np.divide(v, 1.0 - _BETA2**t, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += _EPS
-            step /= scratch
-            if rows.size == len(p.data):  # every row seen: rows is arange
-                p.data -= step
-            else:
-                np.take(p.data, rows, axis=0, out=scratch)
-                scratch -= step
-                p.data[rows] = scratch
+            for lo, hi in _blocks(m):
+                mb, vb = m[lo:hi], v[lo:hi]
+                step = step_buf[: mb.size].reshape(mb.shape)
+                scratch = scratch_buf[: mb.size].reshape(mb.shape)
+                if pos is None:
+                    g = val[lo:hi]
+                else:
+                    g = scratch
+                    g.fill(0.0)
+                    a, b = np.searchsorted(pos, (lo, hi))
+                    g[pos[a:b] - lo] = val[a:b] if src is None else val[src[a:b]]
+                mb *= _BETA1
+                mb += np.multiply(g, 1.0 - _BETA1, out=step)
+                vb *= _BETA2
+                np.multiply(g, 1.0 - _BETA2, out=step)
+                step *= g
+                vb += step
+                # lr * m_hat / (sqrt(v_hat) + eps); g is not read again
+                np.divide(mb, c1, out=step)
+                step *= self.lr
+                np.divide(vb, c2, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += _EPS
+                step /= scratch
+                if rows.size == len(p.data):  # every row seen: rows is arange
+                    p.data[lo:hi] -= step
+                else:
+                    np.take(p.data, rows[lo:hi], axis=0, out=scratch)
+                    scratch -= step
+                    p.data[rows[lo:hi]] = scratch
 
     def _see(self, name: str, ids: np.ndarray) -> np.ndarray:
         """Add ``ids`` to the seen rows, new ones with zero moments; return the seen rows."""

@@ -517,6 +517,18 @@ class TestCoalesceRows:
         val = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 8, (idx.size, 1))
         assert_coalesced_as_add_at(ad.coalesce_rows(idx, val, (40, 3)), idx, val, (40, 3))
 
+    def test_one_id_owning_most_occurrences_and_a_lone_negative_zero(self):
+        rng = np.random.default_rng(6)
+        lone = np.arange(40)[np.arange(40) != 7]
+        idx = np.concatenate([np.full(3000, 7), lone, rng.choice(lone, 60)])
+        rng.shuffle(idx)
+        val = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 8, (idx.size, 1))
+        negative = lone[np.flatnonzero(np.bincount(idx, minlength=40)[lone] == 1)[0]]
+        val[idx == negative] = -0.0
+        rows = ad.coalesce_rows(idx, val, (40, 3))
+        assert_coalesced_as_add_at(rows, idx, val, (40, 3))
+        assert not np.signbit(rows.val[rows.idx == negative]).any()
+
     def test_any_index_shape_and_one_dimensional_rows(self):
         rng = np.random.default_rng(5)
         idx = rng.integers(0, 6, (4, 5))

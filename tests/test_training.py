@@ -358,6 +358,103 @@ class TestRowSparseAdam:
         assert run("dense") == sparse
 
 
+# a table row of 256 entries: Adam sweeps it in blocks of this many rows
+_WIDE = 256
+_PER_BLOCK = training._BLOCK // _WIDE
+
+
+def _rows_gradient(rng, shape, rows):
+    """A gradient that is nonzero on ``rows`` only, with a zero entry in one of them."""
+    g = np.zeros(shape)
+    g[rows] = rng.normal(size=(len(rows), shape[1]))
+    g[rows[len(rows) // 2], 0] = 0.0
+    return g
+
+
+class TestAdamAcrossBlocks:
+    """``Adam`` sweeps the seen rows in blocks of ``_BLOCK`` elements; here they
+    span three full blocks and a ragged fourth, and every step is bitwise the
+    dense reference's."""
+
+    run_twins = TestRowSparseAdam.run_twins
+
+    def assert_spans_blocks(self, opt):
+        seen = opt.rows["table"].size
+        assert seen > 3 * _PER_BLOCK and seen % _PER_BLOCK, seen
+
+    def test_dense_gradient(self):
+        rng = np.random.default_rng(11)
+        shape = (3 * _PER_BLOCK + 45, _WIDE)
+        grads = [rng.normal(size=shape) for _ in range(5)]
+        opt, _ = self.run_twins(grads, shape)
+        self.assert_spans_blocks(opt)
+        assert opt.rows["table"].tolist() == list(range(shape[0]))
+
+    def test_row_set_equal_to_the_seen_rows(self):
+        rng = np.random.default_rng(12)
+        shape = (5 * _PER_BLOCK, _WIDE)
+        rows = np.sort(rng.choice(shape[0], 3 * _PER_BLOCK + 37, replace=False))
+        opt, _ = self.run_twins([_rows_gradient(rng, shape, rows) for _ in range(5)], shape)
+        self.assert_spans_blocks(opt)
+        assert opt.rows["table"].tolist() == rows.tolist()
+
+    def test_strict_subsets_leave_whole_blocks_untouched(self):
+        rng = np.random.default_rng(13)
+        shape = (5 * _PER_BLOCK, _WIDE)
+        seen = np.sort(rng.choice(shape[0], 3 * _PER_BLOCK + 37, replace=False))
+        # after the first step, the seen rows' second and fourth blocks get no gradient
+        first, third = seen[:_PER_BLOCK], seen[2 * _PER_BLOCK : 3 * _PER_BLOCK]
+        subsets = [seen, first[::3], np.r_[first[5:9], third[::7]], third[-2:], np.r_[first[:1], third[:1]], seen]
+        opt, _ = self.run_twins([_rows_gradient(rng, shape, r) for r in subsets], shape)
+        self.assert_spans_blocks(opt)
+        assert opt.rows["table"].tolist() == seen.tolist()
+
+    def test_every_row_seen_then_subsets(self):
+        rng = np.random.default_rng(14)
+        shape = (3 * _PER_BLOCK + 45, _WIDE)
+        everything = np.arange(shape[0])
+        subsets = [everything[::2], everything[1::2], everything[: _PER_BLOCK // 2],
+                   everything[-3:], everything[_PER_BLOCK::5], everything]
+        opt, _ = self.run_twins([_rows_gradient(rng, shape, r) for r in subsets], shape)
+        self.assert_spans_blocks(opt)
+        assert opt.rows["table"].tolist() == everything.tolist()
+
+    def test_rows_going_idle(self):
+        rng = np.random.default_rng(15)
+        shape = (6 * _PER_BLOCK, _WIDE)
+        rows = np.sort(rng.choice(shape[0], 4 * _PER_BLOCK, replace=False))
+        # a quarter of the rows, spread over every block, goes idle after each step
+        subsets = [rows, rows[rows % 4 != 0], rows[rows % 4 > 1], rows[rows % 4 == 3], rows[rows % 4 == 3]]
+        subsets = [s[:-11] for s in subsets]  # the last block of seen rows is ragged
+        opt, _ = self.run_twins([_rows_gradient(rng, shape, r) for r in subsets], shape)
+        self.assert_spans_blocks(opt)
+        idle = np.searchsorted(opt.rows["table"], rows[:-11][rows[:-11] % 4 == 0])
+        assert opt.m["table"][idle].any(axis=1).all()  # still decaying
+
+    @pytest.mark.parametrize("row_set", [False, True])
+    def test_non_finite_entry_in_the_last_block_of_the_last_parameter_changes_nothing(self, row_set):
+        rng = np.random.default_rng(16)
+        shape = (3 * _PER_BLOCK + 45, _WIDE)
+        a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=shape), requires_grad=True)
+        opt = Adam([("a", a), ("table", b)], lr=0.01)
+        for _ in range(2):
+            a.grad, b.grad = rng.normal(size=(3, 2)), rng.normal(size=shape)
+            opt.step()
+        self.assert_spans_blocks(opt)
+        before = [(p.data.copy(), opt.rows[n].copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in opt.params]
+        bad = rng.normal(size=shape)
+        bad[-1, -1] = np.nan
+        a.grad = rng.normal(size=(3, 2))
+        b.grad = as_row_set(bad) if row_set else bad
+        with pytest.raises(NonFiniteGradient, match="'table'"):
+            opt.step()
+        assert opt.step_count == 2
+        for (n, p), saved in zip(opt.params, before):
+            now = (p.data, opt.rows[n], opt.m[n], opt.v[n])
+            assert [x.tobytes() for x in now] == [x.tobytes() for x in saved], n
+
+
 def _encoded_corpus(model, n=10, seed=0):
     docs = make_corpus(n_docs=n, seed=seed)
     return [encode_document(d, model.vocab, model.table) for d in docs]
